@@ -98,13 +98,27 @@ def compute_eta(n1: int, n2: int, epsilon: float) -> int:
     return max(1, math.ceil(max((2.0 * n1 / n2) * level, level)))
 
 
-def _read_submatrix(oracle: QueryOracle, rows: list[int], cols: list[int]) -> np.ndarray:
-    """Assemble a submatrix through entry queries (cached cells are free)."""
-    out = np.empty((len(rows), len(cols)))
-    for a, i in enumerate(rows):
-        for b, j in enumerate(cols):
-            out[a, b] = oracle.query_entry(i, j)
-    return out
+def _result(
+    oracle: QueryOracle,
+    state: DiscoveryState,
+    noisy_rows: list[int],
+    status: str,
+    recovered: np.ndarray | None = None,
+) -> CompletionResult:
+    """Every result is built here. Flagged rows of `recovered` are set to
+    NaN; without `recovered` the result carries no values at all."""
+    if recovered is None:
+        recovered = np.full(oracle.shape, np.nan)
+    flagged = sorted(set(noisy_rows))
+    recovered[flagged, :] = np.nan
+    return CompletionResult(
+        noisy_rows_hat=tuple(flagged),
+        recovered=recovered,
+        pivot_rows=tuple(state.pivot_rows),
+        pivot_cols=tuple(state.pivot_cols),
+        query_count=oracle.unique_query_count,
+        status=status,
+    )
 
 
 def discover(oracle: QueryOracle, params: CompletionParams) -> DiscoveryState:
@@ -132,7 +146,7 @@ def discover(oracle: QueryOracle, params: CompletionParams) -> DiscoveryState:
                 # The union leaves the row set unchanged, so the bordered
                 # submatrix is not square and cannot certify a new rank unit.
                 continue
-            candidate = _read_submatrix(oracle, rows + [i], cols + [j])
+            candidate = oracle.query_block(rows + [i], cols + [j])
             if is_invertible(candidate, params.tol):
                 oracle.query_column(j)
                 oracle.query_row(i)
@@ -163,7 +177,7 @@ def identify_noisy_rows(
     mask = oracle.observed_mask
     if not mask[:, cols].all():
         raise RuntimeError("internal contract: pivot columns must be fully observed")
-    observed_cols = np.column_stack([oracle.query_column(j) for j in cols])
+    observed_cols = oracle.query_block(range(oracle.shape[0]), cols)
     full = numerical_rank(observed_cols, params.tol)
     flagged = []
     for i in state.pivot_rows:
@@ -210,54 +224,29 @@ def recover(
     values on the clean pivot rows alone. Flagged rows are filled with NaN.
     """
     n1, n2 = oracle.shape
-    flagged = set(noisy_rows)
-    clean_pivots = [i for i in state.pivot_rows if i not in flagged]
-    clean_all = [i for i in range(n1) if i not in flagged]
-    recovered = np.full((n1, n2), np.nan)
-
     if state.rank_estimate == 0:
         # Nothing certified anywhere: the observed matrix is zero at tolerance.
-        recovered[clean_all, :] = 0.0
-        return CompletionResult(
-            noisy_rows_hat=tuple(sorted(flagged)),
-            recovered=recovered,
-            pivot_rows=(),
-            pivot_cols=(),
-            query_count=oracle.unique_query_count,
-            status=STATUS_OK,
-        )
+        return _result(oracle, state, noisy_rows, STATUS_OK, np.zeros((n1, n2)))
 
+    flagged = set(noisy_rows)
+    clean_pivots = [i for i in state.pivot_rows if i not in flagged]
     if not clean_pivots:
         raise ValueError("no clean pivot rows left to recover from")
-
+    clean_all = [i for i in range(n1) if i not in flagged]
     pivot_cols = list(state.pivot_cols)
-    on_clean_pivots = _read_submatrix(oracle, clean_pivots, pivot_cols)
+    claimed = set(pivot_cols)
+    others = [j for j in range(n2) if j not in claimed]
+
+    on_clean_pivots = oracle.query_block(clean_pivots, pivot_cols)
     basis_cols = _select_column_basis(
         on_clean_pivots, pivot_cols, len(clean_pivots), params.tol
     )
-    basis = _read_submatrix(oracle, clean_pivots, basis_cols)
-    if not is_invertible(basis, params.tol):
-        raise DegenerateSystemError("selected basis submatrix is singular")
-    basis_full = _read_submatrix(oracle, clean_all, basis_cols)
-
-    claimed = set(pivot_cols)
-    for j in range(n2):
-        if j in claimed:
-            col = oracle.query_column(j)
-            recovered[clean_all, j] = col[clean_all]
-        else:
-            rhs = np.array([oracle.query_entry(i, j) for i in clean_pivots])
-            coeffs = solve_least_squares(basis, rhs, params.tol)
-            recovered[clean_all, j] = basis_full @ coeffs
-
-    return CompletionResult(
-        noisy_rows_hat=tuple(sorted(flagged)),
-        recovered=recovered,
-        pivot_rows=tuple(state.pivot_rows),
-        pivot_cols=tuple(state.pivot_cols),
-        query_count=oracle.unique_query_count,
-        status=STATUS_OK,
-    )
+    basis = oracle.query_block(clean_pivots, basis_cols)
+    coeffs = solve_least_squares(basis, oracle.query_block(clean_pivots, others), params.tol)
+    recovered = np.full((n1, n2), np.nan)
+    recovered[np.ix_(clean_all, pivot_cols)] = oracle.query_block(clean_all, pivot_cols)
+    recovered[np.ix_(clean_all, others)] = oracle.query_block(clean_all, basis_cols) @ coeffs
+    return _result(oracle, state, noisy_rows, STATUS_OK, recovered)
 
 
 def run(oracle: QueryOracle, params: CompletionParams | None = None) -> CompletionResult:
@@ -272,47 +261,22 @@ def run(oracle: QueryOracle, params: CompletionParams | None = None) -> Completi
     """
     if params is None:
         params = CompletionParams()
-    n1, n2 = oracle.shape
     state = discover(oracle, params)
 
     if state.rank_estimate > 0:
-        certificate = _read_submatrix(oracle, state.pivot_rows, state.pivot_cols)
+        certificate = oracle.query_block(state.pivot_rows, state.pivot_cols)
         if not is_invertible(certificate, params.tol):
-            return CompletionResult(
-                noisy_rows_hat=(),
-                recovered=np.full((n1, n2), np.nan),
-                pivot_rows=tuple(state.pivot_rows),
-                pivot_cols=tuple(state.pivot_cols),
-                query_count=oracle.unique_query_count,
-                status=STATUS_BUDGET,
-            )
+            return _result(oracle, state, [], STATUS_BUDGET)
 
     noisy = identify_noisy_rows(oracle, state, params)
 
     if state.rank_estimate > 0 and len(noisy) >= state.rank_estimate:
-        recovered = np.full((n1, n2), np.nan)
-        clean_all = [i for i in range(n1) if i not in set(noisy)]
-        recovered[clean_all, :] = 0.0
-        return CompletionResult(
-            noisy_rows_hat=tuple(noisy),
-            recovered=recovered,
-            pivot_rows=tuple(state.pivot_rows),
-            pivot_cols=tuple(state.pivot_cols),
-            query_count=oracle.unique_query_count,
-            status=STATUS_PRECONDITION,
-        )
+        return _result(oracle, state, noisy, STATUS_PRECONDITION, np.zeros(oracle.shape))
 
     try:
         return recover(oracle, state, noisy, params)
     except DegenerateSystemError:
-        return CompletionResult(
-            noisy_rows_hat=tuple(noisy),
-            recovered=np.full((n1, n2), np.nan),
-            pivot_rows=tuple(state.pivot_rows),
-            pivot_cols=tuple(state.pivot_cols),
-            query_count=oracle.unique_query_count,
-            status=STATUS_BUDGET,
-        )
+        return _result(oracle, state, noisy, STATUS_BUDGET)
 
 
 def query_budget(

@@ -76,13 +76,17 @@ def is_invertible(m, tol: RankTolerance = DEFAULT_TOL) -> bool:
 def solve_least_squares(a, b, tol: RankTolerance = DEFAULT_TOL) -> np.ndarray:
     """Least-squares solution of a @ x = b for a full-column-rank a.
 
-    For square invertible a this is the exact solution. A rank-deficient
-    coefficient matrix raises DegenerateSystemError instead of returning a
-    minimum-norm answer, because downstream recovery must not silently
-    proceed from a broken basis.
+    `b` is one right-hand side (1-D) or one per column (2-D); x has the same
+    number of dimensions. For square invertible a this is the exact
+    solution. A rank-deficient coefficient matrix raises
+    DegenerateSystemError instead of returning a minimum-norm answer,
+    because downstream recovery must not silently proceed from a broken
+    basis.
     """
     a = as_matrix(a)
-    rhs = np.asarray(b, dtype=float).reshape(-1)
+    rhs = np.asarray(b, dtype=float)
+    if rhs.ndim not in (1, 2):
+        raise ValueError(f"rhs must be 1-D or 2-D, got ndim={rhs.ndim}")
     if rhs.shape[0] != a.shape[0]:
         raise ValueError(f"rhs length {rhs.shape[0]} does not match {a.shape[0]} rows")
     if numerical_rank(a, tol) < a.shape[1]:
@@ -103,9 +107,12 @@ def ei_in_colspace(m, i: int, tol: RankTolerance = DEFAULT_TOL) -> bool:
     a = as_matrix(m)
     if not (0 <= i < a.shape[0]):
         raise IndexError(f"row index {i} out of range for {a.shape[0]} rows")
-    full = numerical_rank(a, tol)
-    reduced = numerical_rank(np.delete(a, i, axis=0), tol)
-    return reduced < full
+    return _drops_rank(a, i, numerical_rank(a, tol), tol)
+
+
+def _drops_rank(a: np.ndarray, i: int, full: int, tol: RankTolerance) -> bool:
+    """Whether deleting row i of a leaves a rank below `full`, a's rank."""
+    return numerical_rank(np.delete(a, i, axis=0), tol) < full
 
 
 @dataclass(frozen=True)
@@ -187,4 +194,5 @@ def has_unit_coordinate_vector(m, tol: RankTolerance = DEFAULT_TOL) -> bool:
     number of rows instead of exponential, so usable at any scale.
     """
     a = as_matrix(m)
-    return any(ei_in_colspace(a, i, tol) for i in range(a.shape[0]))
+    full = numerical_rank(a, tol)
+    return any(_drops_rank(a, i, full, tol) for i in range(a.shape[0]))

@@ -16,6 +16,8 @@ import numpy as np
 from .instances import GroundTruthInstance
 from .linalg import as_matrix
 
+_AXES = ("row", "column")
+
 
 @dataclass
 class QueryLog:
@@ -61,40 +63,62 @@ class QueryOracle:
     def observed_mask(self) -> np.ndarray:
         return self._mask.copy()
 
-    def _check_row(self, i: int) -> None:
-        if not (0 <= i < self._values.shape[0]):
-            raise IndexError(f"row index {i} out of range")
+    def _check(self, i: int, axis: int) -> None:
+        # numpy reads a bool index as a mask, so True must not pass as 1.
+        n = self._values.shape[axis]
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < n:
+            raise IndexError(f"{_AXES[axis]} index {i!r} is not an integer in [0, {n})")
 
-    def _check_col(self, j: int) -> None:
-        if not (0 <= j < self._values.shape[1]):
-            raise IndexError(f"column index {j} out of range")
+    def _check_all(self, indices, axis: int) -> np.ndarray:
+        """A 1-D sequence of in-range integer indices, as an integer array."""
+        a = np.asarray(indices)
+        if a.ndim != 1:
+            raise IndexError(f"{_AXES[axis]} indices must form a 1-D sequence")
+        if a.size == 0:
+            return a.astype(np.intp)
+        # The extremes carry the array's dtype, so this also rejects
+        # float and bool arrays.
+        self._check(a.min(), axis)
+        self._check(a.max(), axis)
+        return a
+
+    def _reveal(self, kind: str, i: int | None, j: int | None, cells) -> None:
+        """Mark `cells` observed, count those not seen before, log one event.
+
+        `cells` indexes the mask and must name each cell at most once.
+        """
+        fresh = int(np.count_nonzero(~self._mask[cells]))
+        if fresh:
+            self._mask[cells] = True
+            self._count += fresh
+        self.log.append(kind, i, j, self._count)
 
     def query_entry(self, i: int, j: int) -> float:
-        self._check_row(i)
-        self._check_col(j)
-        if not self._mask[i, j]:
-            self._mask[i, j] = True
-            self._count += 1
-        self.log.append("entry", i, j, self._count)
+        self._check(i, 0)
+        self._check(j, 1)
+        self._reveal("entry", i, j, (i, j))
         return float(self._values[i, j])
 
     def query_row(self, i: int) -> np.ndarray:
-        self._check_row(i)
-        fresh = int(np.count_nonzero(~self._mask[i, :]))
-        if fresh:
-            self._mask[i, :] = True
-            self._count += fresh
-        self.log.append("row", i, None, self._count)
+        self._check(i, 0)
+        self._reveal("row", i, None, (i, slice(None)))
         return self._values[i, :].copy()
 
     def query_column(self, j: int) -> np.ndarray:
-        self._check_col(j)
-        fresh = int(np.count_nonzero(~self._mask[:, j]))
-        if fresh:
-            self._mask[:, j] = True
-            self._count += fresh
-        self.log.append("column", None, j, self._count)
+        self._check(j, 1)
+        self._reveal("column", None, j, (slice(None), j))
         return self._values[:, j].copy()
+
+    def query_block(self, rows, cols) -> np.ndarray:
+        """The submatrix N[rows x cols], in the order given.
+
+        Repeated indices are allowed; each distinct cell is revealed and
+        counted once. The read is logged as one "block" event.
+        """
+        r = self._check_all(rows, 0)
+        c = self._check_all(cols, 1)
+        self._reveal("block", None, None, np.ix_(np.unique(r), np.unique(c)))
+        return self._values[np.ix_(r, c)]
 
     def draw_random_row(self) -> int:
         """Uniform row index from the oracle-owned generator; not a query."""

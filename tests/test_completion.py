@@ -328,3 +328,63 @@ class TestCompletionParams:
     def test_epsilon_range(self, bad):
         with pytest.raises(ValueError):
             CompletionParams(epsilon=bad)
+
+
+# (status, noisy_rows_hat, pivot_rows, pivot_cols, query_count) of seeded
+# run() calls, recorded from the per-cell implementation. Any change here is
+# a change of behaviour, not of speed.
+PINNED_RUNS = [
+    (
+        dict(n1=8, n2=8, rank_r=2, num_noisy=1, seed=7),
+        3,
+        (STATUS_OK, (7,), (6, 0, 7), (0, 1, 4), 61),
+    ),
+    (
+        dict(n1=40, n2=60, rank_r=4, num_noisy=2, seed=11),
+        5,
+        (STATUS_OK, (5, 39), (26, 32, 0, 18, 39, 5), (0, 1, 2, 4, 8, 14), 783),
+    ),
+    (
+        dict(n1=36, n2=300, rank_r=30, num_noisy=3, seed=12),
+        6,
+        (
+            STATUS_OK,
+            (8, 20, 35),
+            (16, 19, 18, 12, 34, 13, 23, 35, 6, 22, 15, 24, 27, 11, 4, 1, 31,
+             30, 0, 21, 29, 28, 5, 9, 7, 26, 20, 17, 3, 8, 32, 14, 2),
+            (0, 1, 2, 3, 4, 5, 6, 9, 10, 11, 12, 13, 14, 15, 19, 21, 22, 23, 25,
+             28, 29, 31, 32, 34, 35, 38, 46, 47, 53, 74, 77, 78, 85),
+            10081,
+        ),
+    ),
+    (
+        dict(n1=30, n2=24, rank_r=3, num_noisy=2, mode="sparse-basis",
+             target_psi=4, seed=13),
+        7,
+        (STATUS_OK, (25, 29), (20, 17, 25, 6, 29), (2, 4, 6, 7, 3), 355),
+    ),
+]
+
+
+class TestPinnedRuns:
+    @pytest.mark.parametrize("config, oracle_seed, expected", PINNED_RUNS)
+    def test_outcome(self, config, oracle_seed, expected):
+        inst = generate(GeneratorConfig(**config))
+        result = run(QueryOracle(inst, rng_seed=oracle_seed), PARAMS)
+        got = (result.status, result.noisy_rows_hat, result.pivot_rows,
+               result.pivot_cols, result.query_count)
+        assert got == expected
+        assert result.noisy_rows_hat == inst.noisy_rows
+        err = max_relative_error(result.recovered, inst.m, list(inst.clean_rows))
+        assert err <= 1e-8
+
+    def test_precondition_outcome(self):
+        m = np.zeros((5, 4))
+        m[0, :] = [1.0, 2.0, 3.0, 4.0]
+        result = run(QueryOracle(m, rng_seed=0), PARAMS)
+        got = (result.status, result.noisy_rows_hat, result.pivot_rows,
+               result.pivot_cols, result.query_count)
+        assert got == (STATUS_PRECONDITION, (0,), (0,), (1,), 18)
+        expected = np.zeros((5, 4))
+        expected[0, :] = np.nan
+        np.testing.assert_array_equal(result.recovered, expected)

@@ -115,6 +115,36 @@ class TestSolveLeastSquares:
         assert residual <= 1e-8 * max(1.0, np.linalg.norm(b))
 
 
+class TestSolveManyRightHandSides:
+    @pytest.mark.parametrize("shape", [(3, 3), (5, 3), (4, 1)])
+    def test_matches_column_by_column(self, shape):
+        rng = np.random.default_rng(shape[0] * 10 + shape[1])
+        a = rng.standard_normal(shape)
+        b = rng.standard_normal((shape[0], 7))
+        x = solve_least_squares(a, b)
+        assert x.shape == (shape[1], 7)
+        for k in range(b.shape[1]):
+            np.testing.assert_allclose(
+                x[:, k], solve_least_squares(a, b[:, k]), rtol=0, atol=1e-12
+            )
+
+    def test_no_columns(self):
+        x = solve_least_squares(np.eye(3), np.zeros((3, 0)))
+        assert x.shape == (3, 0)
+
+    def test_rank_deficient_raises(self):
+        with pytest.raises(DegenerateSystemError):
+            solve_least_squares([[1, 2], [2, 4]], np.ones((2, 3)))
+
+    def test_row_mismatch_raises(self):
+        with pytest.raises(ValueError):
+            solve_least_squares(np.eye(3), np.ones((2, 4)))
+
+    def test_three_dimensional_rhs_raises(self):
+        with pytest.raises(ValueError):
+            solve_least_squares(np.eye(2), np.ones((2, 2, 2)))
+
+
 class TestEiInColspace:
     def test_combination_reaches_e3(self):
         # (2/3, -1/3) combines the columns into (0, 0, 1)
@@ -228,6 +258,13 @@ class TestUnitCoordinateDetector:
                 m[rng.integers(5), 0] = 1.0
             basis = column_space_basis(m)
             assert has_unit_coordinate_vector(m) == (sparsity_number(basis) == 1)
+
+    @settings(max_examples=50, deadline=None)
+    @given(small_matrices())
+    def test_matches_row_by_row_membership(self, m):
+        assert has_unit_coordinate_vector(m) == any(
+            ei_in_colspace(m, i) for i in range(m.shape[0])
+        )
 
 
 class TestRankTolerance:

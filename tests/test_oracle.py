@@ -40,6 +40,21 @@ class TestEntryQueries:
         with pytest.raises(IndexError):
             o.query_entry(0, 5)
 
+    @pytest.mark.parametrize("bad", [True, np.True_, 1.0])
+    def test_non_integer_index_reveals_nothing(self, bad):
+        # numpy would read a bool as a mask over a whole row or the matrix.
+        o = fresh_oracle()
+        for query in (
+            lambda: o.query_entry(bad, 1),
+            lambda: o.query_entry(1, bad),
+            lambda: o.query_row(bad),
+            lambda: o.query_column(bad),
+        ):
+            with pytest.raises(IndexError):
+                query()
+        assert o.unique_query_count == 0
+        assert not o.observed_mask.any()
+
 
 class TestRowColumnQueries:
     def test_fresh_column_counts_full_height(self):
@@ -64,6 +79,63 @@ class TestRowColumnQueries:
         o = QueryOracle(values)
         np.testing.assert_array_equal(o.query_row(1), values[1])
         np.testing.assert_array_equal(o.query_column(2), values[:, 2])
+
+
+class TestBlockQueries:
+    def test_values_in_given_order(self):
+        values = np.arange(20, dtype=float).reshape(4, 5)
+        o = QueryOracle(values)
+        rows, cols = [3, 0, 2], [4, 1]
+        np.testing.assert_array_equal(o.query_block(rows, cols), values[np.ix_(rows, cols)])
+
+    def test_repeats_count_once(self):
+        o = fresh_oracle()
+        block = o.query_block([1, 1, 2], [0, 3, 0])
+        assert block.shape == (3, 3)
+        assert o.unique_query_count == 4
+        assert o.observed_mask.sum() == 4
+        assert o.observed_mask[np.ix_([1, 2], [0, 3])].all()
+
+    def test_overlap_with_entry_counts_new_cells_only(self):
+        o = fresh_oracle()
+        o.query_entry(0, 0)
+        o.query_block([0, 1], [0, 1])
+        assert o.unique_query_count == 4
+
+    @pytest.mark.parametrize(
+        "rows, cols",
+        [
+            ([-1], [0]),
+            ([0], [-1]),
+            ([4], [0]),
+            ([0], [5]),
+            ([1.5], [0]),
+            ([0], [2.0]),
+            ([True], [0]),
+            ([[0, 1]], [0]),
+            (0, [0]),
+        ],
+    )
+    def test_bad_indices_raise(self, rows, cols):
+        o = fresh_oracle()
+        with pytest.raises(IndexError):
+            o.query_block(rows, cols)
+        assert o.unique_query_count == 0
+        assert o.log.entries == []
+
+    @pytest.mark.parametrize("rows, cols", [([], [0, 1]), ([2], []), ([], [])])
+    def test_empty_reveals_nothing(self, rows, cols):
+        o = fresh_oracle()
+        block = o.query_block(rows, cols)
+        assert block.shape == (len(rows), len(cols))
+        assert o.unique_query_count == 0
+        assert not o.observed_mask.any()
+
+    def test_accepts_ranges_and_arrays(self):
+        values = np.arange(20, dtype=float).reshape(4, 5)
+        o = QueryOracle(values)
+        block = o.query_block(range(4), np.array([2, 4]))
+        np.testing.assert_array_equal(block, values[:, [2, 4]])
 
 
 class TestRandomRowDraws:
@@ -128,6 +200,17 @@ class TestCounting:
         assert type(o.unique_query_count) is int
         assert all(type(count) is int for *_, count in o.log.entries)
 
+    def test_mixed_queries_count_matches_mask(self):
+        o = fresh_oracle()
+        o.query_entry(3, 4)
+        o.query_block([0, 3, 3], [4, 0])
+        o.query_row(1)
+        o.query_column(2)
+        o.query_block([1, 2], [2, 3])
+        assert o.unique_query_count == o.observed_mask.sum() == 13
+        assert type(o.unique_query_count) is int
+        assert all(type(count) is int for *_, count in o.log.entries)
+
     def test_count_never_exceeds_size(self):
         o = fresh_oracle(n1=3, n2=3)
         for i in range(3):
@@ -159,3 +242,16 @@ class TestQueryLog:
         assert rows[1] == ["entry", "0", "1", "1"]
         assert rows[2] == ["row", "2", "", "6"]
         assert rows[3][0] == "column"
+
+    def test_block_is_one_event(self, tmp_path):
+        o = fresh_oracle()
+        o.query_entry(0, 1)
+        o.query_block([0, 1], [1, 2, 3])
+        o.query_block([0], [1])
+        assert [kind for kind, *_ in o.log.entries] == ["entry", "block", "block"]
+        path = tmp_path / "log.csv"
+        o.log.to_csv(path)
+        with open(path, newline="") as f:
+            rows = list(csv.reader(f))
+        assert rows[2] == ["block", "", "", "6"]
+        assert rows[3] == ["block", "", "", "6"]

@@ -1,0 +1,38 @@
+import csv
+import runpy
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def script_main(name):
+    return runpy.run_path(str(SCRIPTS / name), run_name="script_under_test")["main"]
+
+
+def read_csv(path):
+    with open(path, newline="") as f:
+        return list(csv.reader(f))
+
+
+def test_success_rate_sweep(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    main = script_main("success_rate_sweep.py")
+    assert main(["--trials", "2", "-o", str(out)]) == 0
+    rows = read_csv(out)
+    assert rows[0][:3] == ["n1", "n2", "r"]
+    assert len(rows) == 1 + 7
+    assert all(row[6] == "2" for row in rows[1:])  # trials column
+    assert f"wrote {out}" in capsys.readouterr().out
+
+
+def test_detection_probability(tmp_path, capsys):
+    out = tmp_path / "detection.csv"
+    main = script_main("detection_probability.py")
+    assert main(["--probes", "50", "-o", str(out)]) == 0
+    rows = read_csv(out)
+    assert rows[0] == ["n1", "n2", "r", "omega", "psi_u",
+                       "estimate", "lower_bound", "refined_value"]
+    assert len(rows) == 1 + 7
+    for row in rows[1:]:
+        assert 0.0 <= float(row[5]) <= 1.0
+    assert "estimate=" in capsys.readouterr().out
