@@ -7,16 +7,18 @@ sweep probes one random entry per unclaimed column, and a probe is accepted
 when the bordered square submatrix passes the invertibility test. A pass
 budget of consecutive unproductive sweeps decides when the rank is complete.
 
-Phase 2 (identification) flags the discovered rows whose deletion strictly
-drops the rank of the fully observed pivot columns. A corrupted row is
-linearly independent of everything else, so removing it loses a dimension;
-a clean row can only mimic that signature when the clean column space
-contains a standard basis vector, which the precondition excludes.
+Phase 2 (identification) flags the discovered rows i whose standard basis
+vector e_i lies in the column space of the fully observed pivot columns,
+that is, whose deletion drops their rank. A corrupted row is linearly
+independent of everything else, so the pivot columns isolate it; a clean
+row can only mimic that signature when the clean column space contains a
+standard basis vector, which the precondition excludes.
 
-Phase 3 (recovery) solves for every remaining column against a basis of
-pivot columns restricted to the surviving clean pivot rows, reconstructing
-all entries on rows not flagged as noisy. Flagged rows carry no information
-about the underlying values, so they are reported as NaN, never invented.
+Phase 3 (recovery) solves every remaining column against the pivot columns
+on the surviving clean pivot rows in one minimum-norm solve, exact because
+those rows span the clean row space, and reconstructs all entries on rows
+not flagged as noisy. Flagged rows carry no information about the
+underlying values, so they are reported as NaN, never invented.
 
 The budget calculators evaluate the two closed-form query budgets (the
 headline bound and the per-phase sum) for given instance parameters.
@@ -33,8 +35,8 @@ from .linalg import (
     DegenerateSystemError,
     RankTolerance,
     is_invertible,
-    numerical_rank,
     solve_least_squares,
+    unit_vectors_in_colspace,
 )
 from .oracle import QueryOracle
 
@@ -166,7 +168,8 @@ def discover(oracle: QueryOracle, params: CompletionParams) -> DiscoveryState:
 def identify_noisy_rows(
     oracle: QueryOracle, state: DiscoveryState, params: CompletionParams
 ) -> list[int]:
-    """Flag discovered rows whose deletion drops the rank of the pivot columns.
+    """Flag the discovered rows i whose e_i lies in the column space of the
+    pivot columns, i.e. whose deletion drops the rank of those columns.
 
     Works entirely on the fully observed pivot columns; no new cells are
     revealed. Raises if discovery did not leave those columns fully observed.
@@ -178,37 +181,8 @@ def identify_noisy_rows(
     if not mask[:, cols].all():
         raise RuntimeError("internal contract: pivot columns must be fully observed")
     observed_cols = oracle.query_block(range(oracle.shape[0]), cols)
-    full = numerical_rank(observed_cols, params.tol)
-    flagged = []
-    for i in state.pivot_rows:
-        remaining = np.delete(observed_cols, i, axis=0)
-        reduced = numerical_rank(remaining, params.tol) if remaining.size else 0
-        if reduced < full:
-            flagged.append(i)
-    return sorted(flagged)
-
-
-def _select_column_basis(
-    values: np.ndarray, cols: list[int], needed: int, tol: RankTolerance
-) -> list[int]:
-    """Greedy left-to-right choice of `needed` independent columns.
-
-    `values` holds the candidate columns restricted to the clean pivot rows,
-    one column per entry of `cols`, scanned in ascending column-index order.
-    """
-    order = np.argsort(cols)
-    selected: list[int] = []
-    selected_vals: list[np.ndarray] = []
-    for pos in order:
-        trial = np.column_stack(selected_vals + [values[:, pos]])
-        if numerical_rank(trial, tol) == len(selected) + 1:
-            selected.append(cols[pos])
-            selected_vals.append(values[:, pos])
-            if len(selected) == needed:
-                return selected
-    raise DegenerateSystemError(
-        f"only {len(selected)} independent columns available, need {needed}"
-    )
+    flags = unit_vectors_in_colspace(observed_cols, state.pivot_rows, params.tol)
+    return sorted(i for i, flagged in zip(state.pivot_rows, flags) if flagged)
 
 
 def recover(
@@ -219,9 +193,11 @@ def recover(
 ) -> CompletionResult:
     """Reconstruct every entry on rows not flagged as noisy.
 
-    Selects a square basis among the pivot columns restricted to the clean
-    pivot rows, then expresses each remaining column in that basis from its
-    values on the clean pivot rows alone. Flagged rows are filled with NaN.
+    Solves all non-pivot columns at once against the pivot columns on the
+    clean pivot rows: a wide system of full row rank whose minimum-norm
+    solution is exact, because the clean pivot rows span the clean row
+    space. The pivot columns on all clean rows times that solution give the
+    other columns. Flagged rows are filled with NaN.
     """
     n1, n2 = oracle.shape
     if state.rank_estimate == 0:
@@ -237,15 +213,15 @@ def recover(
     claimed = set(pivot_cols)
     others = [j for j in range(n2) if j not in claimed]
 
-    on_clean_pivots = oracle.query_block(clean_pivots, pivot_cols)
-    basis_cols = _select_column_basis(
-        on_clean_pivots, pivot_cols, len(clean_pivots), params.tol
+    coeffs = solve_least_squares(
+        oracle.query_block(clean_pivots, pivot_cols),
+        oracle.query_block(clean_pivots, others),
+        params.tol,
     )
-    basis = oracle.query_block(clean_pivots, basis_cols)
-    coeffs = solve_least_squares(basis, oracle.query_block(clean_pivots, others), params.tol)
+    on_pivot_cols = oracle.query_block(clean_all, pivot_cols)
     recovered = np.full((n1, n2), np.nan)
-    recovered[np.ix_(clean_all, pivot_cols)] = oracle.query_block(clean_all, pivot_cols)
-    recovered[np.ix_(clean_all, others)] = oracle.query_block(clean_all, basis_cols) @ coeffs
+    recovered[np.ix_(clean_all, pivot_cols)] = on_pivot_cols
+    recovered[np.ix_(clean_all, others)] = on_pivot_cols @ coeffs
     return _result(oracle, state, noisy_rows, STATUS_OK, recovered)
 
 

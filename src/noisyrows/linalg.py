@@ -1,9 +1,10 @@
 """Dense-matrix primitives: tolerance-based rank, invertibility, solves,
-column-basis extraction, and exact sparsity numbers of small subspaces.
+standard-basis membership of a column space, column-basis extraction, and
+exact sparsity numbers of small subspaces.
 
 Rank decisions go through singular values with a relative threshold rather
-than determinants, which overflow or underflow under the repeated rank-drop
-tests the completion algorithm performs.
+than determinants, which overflow or underflow under the repeated
+invertibility tests the completion algorithm performs.
 """
 from __future__ import annotations
 
@@ -74,14 +75,14 @@ def is_invertible(m, tol: RankTolerance = DEFAULT_TOL) -> bool:
 
 
 def solve_least_squares(a, b, tol: RankTolerance = DEFAULT_TOL) -> np.ndarray:
-    """Least-squares solution of a @ x = b for a full-column-rank a.
+    """Minimum-norm least-squares solution of a @ x = b for a full-rank a.
 
     `b` is one right-hand side (1-D) or one per column (2-D); x has the same
     number of dimensions. For square invertible a this is the exact
-    solution. A rank-deficient coefficient matrix raises
-    DegenerateSystemError instead of returning a minimum-norm answer,
-    because downstream recovery must not silently proceed from a broken
-    basis.
+    solution; for wide a of full row rank it is the exact solution of least
+    norm. A coefficient matrix of rank below min(a.shape) raises
+    DegenerateSystemError instead of returning an approximation, because
+    downstream recovery must not silently proceed from a broken basis.
     """
     a = as_matrix(a)
     rhs = np.asarray(b, dtype=float)
@@ -89,7 +90,7 @@ def solve_least_squares(a, b, tol: RankTolerance = DEFAULT_TOL) -> np.ndarray:
         raise ValueError(f"rhs must be 1-D or 2-D, got ndim={rhs.ndim}")
     if rhs.shape[0] != a.shape[0]:
         raise ValueError(f"rhs length {rhs.shape[0]} does not match {a.shape[0]} rows")
-    if numerical_rank(a, tol) < a.shape[1]:
+    if numerical_rank(a, tol) < min(a.shape):
         raise DegenerateSystemError(
             f"coefficient matrix of shape {a.shape} is rank deficient"
         )
@@ -97,22 +98,35 @@ def solve_least_squares(a, b, tol: RankTolerance = DEFAULT_TOL) -> np.ndarray:
     return x
 
 
+def unit_vectors_in_colspace(m, rows, tol: RankTolerance = DEFAULT_TOL) -> np.ndarray:
+    """For each index i in `rows`, whether e_i lies in the column space of m.
+
+    Equivalently, whether deleting row i drops the rank of m. One thin SVD
+    gives U_r, the left singular vectors above rel_threshold times the
+    largest singular value; row i is flagged when ||e_i - U_r U_r^T e_i|| is
+    at most rel_threshold. The residual is formed explicitly because
+    1 - ||U_r[i]||^2 cancels when e_i is near the span. Row indices are
+    0-based; the result is a boolean array aligned with `rows`.
+    """
+    a = as_matrix(m)
+    idx = np.asarray(rows)
+    if idx.size and (idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= a.shape[0]):
+        raise IndexError(f"row indices {rows} are not integers in [0, {a.shape[0]})")
+    idx = idx.astype(int)
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    u_r = u[:, s > tol.rel_threshold * s.max(initial=0.0)]
+    residual = -(u_r @ u_r[idx].T)
+    residual[idx, np.arange(idx.size)] += 1.0
+    return np.linalg.norm(residual, axis=0) <= tol.rel_threshold
+
+
 def ei_in_colspace(m, i: int, tol: RankTolerance = DEFAULT_TOL) -> bool:
     """Whether the i-th standard basis vector lies in the column space of m.
 
-    Implemented as the row-deletion test: deleting row i strictly decreases
-    the numerical rank exactly when some combination of the columns equals
-    e_i. Row indices are 0-based.
+    Equivalently, whether deleting row i strictly decreases the numerical
+    rank. Row indices are 0-based.
     """
-    a = as_matrix(m)
-    if not (0 <= i < a.shape[0]):
-        raise IndexError(f"row index {i} out of range for {a.shape[0]} rows")
-    return _drops_rank(a, i, numerical_rank(a, tol), tol)
-
-
-def _drops_rank(a: np.ndarray, i: int, full: int, tol: RankTolerance) -> bool:
-    """Whether deleting row i of a leaves a rank below `full`, a's rank."""
-    return numerical_rank(np.delete(a, i, axis=0), tol) < full
+    return bool(unit_vectors_in_colspace(m, [i], tol)[0])
 
 
 @dataclass(frozen=True)
@@ -190,9 +204,8 @@ def nonsparsity_number(basis: SubspaceBasis) -> int:
 def has_unit_coordinate_vector(m, tol: RankTolerance = DEFAULT_TOL) -> bool:
     """True iff some standard basis vector lies in the column space of m.
 
-    Equivalent to sparsity number 1 of the column space, but linear in the
-    number of rows instead of exponential, so usable at any scale.
+    Equivalent to sparsity number 1 of the column space, but one SVD instead
+    of an exponential enumeration, so usable at any scale.
     """
     a = as_matrix(m)
-    full = numerical_rank(a, tol)
-    return any(_drops_rank(a, i, full, tol) for i in range(a.shape[0]))
+    return bool(unit_vectors_in_colspace(a, range(a.shape[0]), tol).any())

@@ -388,3 +388,17 @@ class TestPinnedRuns:
         expected = np.zeros((5, 4))
         expected[0, :] = np.nan
         np.testing.assert_array_equal(result.recovered, expected)
+
+    def test_clean_rows_recovered_to_rounding(self):
+        # On this run's clean pivot rows the first independent square set of
+        # pivot columns has condition number 2.1e7, against 95 for all pivot
+        # columns together; solving against that square set recovered the
+        # clean rows only to 7.75e-9.
+        config = GeneratorConfig(n1=100, n2=100, rank_r=6, num_noisy=3,
+                                 seed=10300064, enforce_psi=True)
+        inst = generate(config)
+        result = run(QueryOracle(inst, rng_seed=10350064), PARAMS)
+        assert result.status == STATUS_OK
+        assert result.noisy_rows_hat == inst.noisy_rows
+        err = max_relative_error(result.recovered, inst.m, list(inst.clean_rows))
+        assert err <= 1e-12

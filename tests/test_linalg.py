@@ -19,6 +19,7 @@ from noisyrows.linalg import (
     solve_least_squares,
     sparsity_number,
 )
+from noisyrows.verify import ei_in_colspace_append
 
 # Nonzero magnitudes start at twice the smallest normal float, so scaling by
 # any factor of at least 0.5 (as test_scaling_invariance does) cannot
@@ -102,6 +103,19 @@ class TestSolveLeastSquares:
         with pytest.raises(DegenerateSystemError):
             solve_least_squares([[1, 2], [2, 4]], [1.0, 0.0])
 
+    def test_wide_full_row_rank_is_minimum_norm(self):
+        rng = np.random.default_rng(35)
+        a = rng.standard_normal((3, 5))
+        b = rng.standard_normal(3)
+        x = solve_least_squares(a, b)
+        np.testing.assert_allclose(a @ x, b, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(x, np.linalg.pinv(a) @ b, rtol=0, atol=1e-12)
+
+    def test_wide_rank_deficient_raises(self):
+        # second row = 2 * first row, so the rank is 1 < min(2, 3)
+        with pytest.raises(DegenerateSystemError):
+            solve_least_squares([[1, 2, 3], [2, 4, 6]], [1.0, 2.0])
+
     @given(
         arrays(float, (4, 4), elements=st.floats(min_value=-5, max_value=5)),
         arrays(float, (4,), elements=st.floats(min_value=-5, max_value=5)),
@@ -116,7 +130,7 @@ class TestSolveLeastSquares:
 
 
 class TestSolveManyRightHandSides:
-    @pytest.mark.parametrize("shape", [(3, 3), (5, 3), (4, 1)])
+    @pytest.mark.parametrize("shape", [(3, 3), (5, 3), (4, 1), (3, 5)])
     def test_matches_column_by_column(self, shape):
         rng = np.random.default_rng(shape[0] * 10 + shape[1])
         a = rng.standard_normal(shape)
@@ -163,8 +177,23 @@ class TestEiInColspace:
         with pytest.raises(IndexError):
             ei_in_colspace(np.eye(2), 2)
 
+    @pytest.mark.parametrize("bad", [-1, 1.5, 1.0, True])
+    def test_index_not_a_row(self, bad):
+        with pytest.raises(IndexError):
+            ei_in_colspace(np.eye(2), bad)
+
     def test_all_zero(self):
         assert not ei_in_colspace(np.zeros((3, 3)), 1)
+
+    def test_near_miss_is_not_a_member(self):
+        # e_3 lies 1.75e-5 from the column space, but 1 - ||U_3||^2 is only
+        # 3.1e-10: a leverage-score test at tolerance 1e-9 would flag it.
+        rng = np.random.default_rng(8256)
+        rng.integers(1, 13)
+        rng.integers(1, 13)
+        m = rng.standard_normal((8, 7))
+        assert not ei_in_colspace(m, 3)
+        assert ei_in_colspace(m, 3) == ei_in_colspace_append(m, 3)
 
 
 def span(*vecs):
