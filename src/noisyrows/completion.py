@@ -4,7 +4,12 @@ has an unknown sparse set of rows corrupted by non-degenerate random noise.
 Phase 1 (discovery) grows index sets of rows and columns whose induced square
 submatrix stays invertible, certifying one unit of rank per acceptance: each
 sweep probes one random entry per unclaimed column, and a probe is accepted
-when the bordered square submatrix passes the invertibility test. A pass
+when the bordered square submatrix passes the invertibility test. The pivot
+rows and columns are kept as the oracle returns them, so no probe re-reads
+its block. A residual bound, sigma_min of the bordered block against its
+largest entry, rejects almost every probe without an SVD, and only where it
+cannot reject does the invertibility test run, on the block assembled from
+those pivots; the bound rejects nothing that test would accept. A pass
 budget of consecutive unproductive sweeps decides when the rank is complete.
 
 Phase 2 (identification) flags the discovered rows i whose standard basis
@@ -43,6 +48,8 @@ from .oracle import QueryOracle
 STATUS_OK = "ok"
 STATUS_PRECONDITION = "precondition-violated"
 STATUS_BUDGET = "budget-exhausted"
+
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -123,39 +130,122 @@ def _result(
     )
 
 
+class _Pivots:
+    """The pivot rows P = N[R, :] and columns Q = N[:, C] as the oracle
+    returned them, and the test that decides a probe against them.
+
+    A probe (i, j) with value v borders the pivot block A = P[:, C] into
+    B = [[A, P[:, j]], [Q[i], v]]. With w = A^-1 P[:, j] and z = [-w; 1],
+    sigma_min(B) <= ||Bz|| / ||z||, whatever rounding w carries, and
+    ||Bz|| = hypot(||P[:, j] - A w||, v - Q[i] w). Since
+    sigma_max(B) >= max|B|, a bound at most
+    max|B| (rel_threshold - 4 (k+1)^2 eps) fails the invertibility test;
+    the last term leaves room for the rounding of that test's SVD.
+    """
+
+    def __init__(self, p: np.ndarray, q: np.ndarray, pivot_rows, pivot_cols,
+                 tol: RankTolerance):
+        k = len(pivot_cols)
+        self._p, self._q, self._tol = p, q, tol
+        self._a = p[:, pivot_cols]
+        self._abs_a = np.abs(self._a)
+        self._a_max = self._abs_a.max(initial=0.0)
+        self._on_pivot_row = np.zeros(q.shape[0], dtype=bool)
+        self._on_pivot_row[pivot_rows] = True
+        # Evaluating Bz with k-term dot products errs by at most
+        # 2 (k+2) eps times the magnitudes summed; the factor after the
+        # threshold covers the rounding of ||z|| and of the product.
+        self._rounding = 2 * (k + 2) * _EPS
+        self._level = (tol.rel_threshold - 4 * (k + 1) ** 2 * _EPS) * (1 - 2 * (k + 3) * _EPS)
+
+    def rejects(self, i: np.ndarray, j: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """For each probe (i[t], j[t]) with value v[t], whether the residual
+        bound shows that the bordered block fails `is_invertible`. A bound
+        that overflows or is NaN rejects nothing."""
+        p, q = self._p[:, j], self._q[i]
+        w = np.linalg.solve(self._a, p) if self._a.size else p
+        # hypot sums squares without overflow or underflow.
+        with np.errstate(over="ignore", invalid="ignore"):
+            top = np.hypot.reduce(p - self._a @ w, axis=0)
+            top_scale = np.hypot.reduce(np.abs(p) + self._abs_a @ np.abs(w), axis=0)
+            bottom = v - (q * w.T).sum(axis=1)
+            bottom_scale = np.abs(v) + (np.abs(q) * np.abs(w.T)).sum(axis=1)
+            bound = np.hypot(top, bottom) + self._rounding * (top_scale + bottom_scale)
+        z = np.hypot(1.0, np.hypot.reduce(w, axis=0))
+        max_b = np.maximum(
+            np.maximum(np.abs(p).max(axis=0, initial=0.0), np.abs(q).max(axis=1, initial=0.0)),
+            np.maximum(np.abs(v), self._a_max),
+        )
+        return np.isfinite(bound) & (bound <= z * max_b * self._level)
+
+    def block(self, i: int, j: int, v: float) -> np.ndarray:
+        """B = N[R + [i], C + [j]], assembled from the cached pivots."""
+        k = self._a.shape[0]
+        b = np.empty((k + 1, k + 1))
+        b[:k, :k] = self._a
+        b[:k, k] = self._p[:, j]
+        b[k, :k] = self._q[i]
+        b[k, k] = v
+        return b
+
+    def first_accepted(self, i: np.ndarray, j: np.ndarray, v: np.ndarray) -> int | None:
+        """Position of the first probe whose bordered block passes
+        `is_invertible`, or None. A probe on a pivot row cannot border the
+        block into a square one; the residual bound rejects most others, and
+        the rest get the full test."""
+        open_ = np.flatnonzero(~self._on_pivot_row[i])
+        open_ = open_[~self.rejects(i[open_], j[open_], v[open_])]
+        for t in open_:
+            if is_invertible(self.block(i[t], j[t], v[t]), self._tol):
+                return int(t)
+        return None
+
+
 def discover(oracle: QueryOracle, params: CompletionParams) -> DiscoveryState:
     """Grow maximal independent row and column sets by random-entry probing.
 
-    Every sweep visits each unclaimed column once: draw a random row, query
-    that entry, and test whether bordering the current pivot submatrix with
-    this (row, column) pair keeps it invertible. Acceptance queries the full
-    row and column and resets the stale-pass counter.
+    Every sweep visits each column unclaimed at its start once: it draws a
+    random row per column in one call, reveals those cells in one read, and
+    tests in turn whether bordering the current pivot submatrix with each
+    (row, column) pair keeps it invertible. Acceptance queries the full row
+    and column, resets the stale-pass counter and decides the rest of the
+    sweep against the grown pivots.
     """
     n1, n2 = oracle.shape
     budget = compute_eta(n1, n2, params.epsilon)
     rows: list[int] = []
     cols: list[int] = []
+    p, q = np.empty((0, n2)), np.empty((n1, 0))  # N[rows, :] and N[:, cols]
+    pivots = _Pivots(p, q, rows, cols, params.tol)
+    unclaimed = np.ones(n2, dtype=bool)
     stale = 0
     while stale < budget:
         stale += 1
-        claimed = set(cols)
-        for j in range(n2):
-            if j in claimed:
+        probe_cols = np.flatnonzero(unclaimed)
+        probe_rows = oracle.draw_random_rows(probe_cols.size)
+        values = oracle.query_cells(probe_rows, probe_cols)
+        # Most sweeps accept nothing, so a sweep is first decided whole.
+        # After an acceptance the rest is decided in windows that double
+        # while none is accepted: the probes an acceptance leaves decided
+        # against stale pivots are at most as many as it took to reach it.
+        start, width = 0, probe_cols.size
+        while start < probe_cols.size:
+            stop = start + width
+            t = pivots.first_accepted(
+                probe_rows[start:stop], probe_cols[start:stop], values[start:stop]
+            )
+            if t is None:
+                start, width = stop, 2 * width
                 continue
-            i = oracle.draw_random_row()
-            oracle.query_entry(i, j)
-            if i in rows:
-                # The union leaves the row set unchanged, so the bordered
-                # submatrix is not square and cannot certify a new rank unit.
-                continue
-            candidate = oracle.query_block(rows + [i], cols + [j])
-            if is_invertible(candidate, params.tol):
-                oracle.query_column(j)
-                oracle.query_row(i)
-                rows.append(i)
-                cols.append(j)
-                claimed.add(j)
-                stale = 0
+            i, j = int(probe_rows[start + t]), int(probe_cols[start + t])
+            q = np.column_stack([q, oracle.query_column(j)])
+            p = np.vstack([p, oracle.query_row(i)])
+            rows.append(i)
+            cols.append(j)
+            unclaimed[j] = False
+            pivots = _Pivots(p, q, rows, cols, params.tol)
+            stale = 0
+            start, width = start + t + 1, 1
     return DiscoveryState(
         pivot_rows=rows,
         pivot_cols=cols,

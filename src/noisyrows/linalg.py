@@ -17,6 +17,9 @@ import numpy as np
 # above this the caller must supply the sparsity number externally.
 SPARSITY_ENUM_CAP = 22
 
+# Rows whose unit-vector residuals unit_vectors_in_colspace forms at once.
+_RESIDUAL_CHUNK = 128
+
 
 class DegenerateSystemError(ValueError):
     """Raised when a solve or basis selection meets a rank-deficient system."""
@@ -115,9 +118,15 @@ def unit_vectors_in_colspace(m, rows, tol: RankTolerance = DEFAULT_TOL) -> np.nd
     idx = idx.astype(int)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     u_r = u[:, s > tol.rel_threshold * s.max(initial=0.0)]
-    residual = -(u_r @ u_r[idx].T)
-    residual[idx, np.arange(idx.size)] += 1.0
-    return np.linalg.norm(residual, axis=0) <= tol.rel_threshold
+    flags = np.empty(idx.size, dtype=bool)
+    # The residuals of a chunk of rows form one n1 x chunk array, so memory
+    # stays O(n1) per chunk however many rows are asked for.
+    for start in range(0, idx.size, _RESIDUAL_CHUNK):
+        chunk = idx[start:start + _RESIDUAL_CHUNK]
+        residual = -(u_r @ u_r[chunk].T)
+        residual[chunk, np.arange(chunk.size)] += 1.0
+        flags[start:start + chunk.size] = np.linalg.norm(residual, axis=0) <= tol.rel_threshold
+    return flags
 
 
 def ei_in_colspace(m, i: int, tol: RankTolerance = DEFAULT_TOL) -> bool:

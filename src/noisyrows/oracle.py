@@ -120,6 +120,25 @@ class QueryOracle:
         self._reveal("block", None, None, np.ix_(np.unique(r), np.unique(c)))
         return self._values[np.ix_(r, c)]
 
+    def query_cells(self, rows, cols) -> np.ndarray:
+        """The cells N[rows[t], cols[t]], one per pair, in the order given.
+
+        Repeated pairs are allowed; each distinct cell is revealed and
+        counted once. The read is logged as one "cells" event.
+        """
+        r = self._check_all(rows, 0)
+        c = self._check_all(cols, 1)
+        if r.shape != c.shape:
+            raise IndexError(f"{r.size} row indices do not pair with {c.size} column indices")
+        cells = np.unique(np.ravel_multi_index((r, c), self._values.shape))
+        self._reveal("cells", None, None, np.unravel_index(cells, self._values.shape))
+        return self._values[r, c]
+
     def draw_random_row(self) -> int:
         """Uniform row index from the oracle-owned generator; not a query."""
         return int(self._rng.integers(self._values.shape[0]))
+
+    def draw_random_rows(self, size: int) -> np.ndarray:
+        """`size` uniform row indices in one call: the same indices, in the
+        same order, as `size` successive `draw_random_row` calls."""
+        return self._rng.integers(self._values.shape[0], size=size)

@@ -1,0 +1,34 @@
+"""The benchmark's output contract, checked on a short run of the smallest
+workload: every standard-output line is JSON, so nothing the library does
+prints to stdout, and the last line is the verdict with every end-to-end
+metric that BENCHMARK.json declares."""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_last_line_is_the_verdict(trace):
+    # No bytecode is written, so the run leaves perfbench/ as it was.
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "trials", "--seed", "1",
+         "--seconds", "0.1", "--trace", str(trace)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    parsed = [json.loads(line) for line in lines]
+    verdict = parsed[-1]
+    assert isinstance(verdict, dict)
+    assert verdict["correct"] is True
+    assert verdict["failed"] == 0
+    if not trace:
+        declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+        assert {m["name"] for m in declared} <= set(verdict["metrics"])

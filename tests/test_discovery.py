@@ -1,0 +1,172 @@
+"""Discovery decides probes from its cached pivots: a residual bound rejects
+most of them, and the rest get the full invertibility test. These tests pin
+that the bound never rejects a block the full test accepts, and that
+discovery makes exactly the decisions of the per-probe loop it replaced."""
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from noisyrows.completion import (
+    CompletionParams,
+    DiscoveryState,
+    _Pivots,
+    compute_eta,
+    discover,
+)
+from noisyrows.instances import GeneratorConfig, generate
+from noisyrows.linalg import RankTolerance, is_invertible
+from noisyrows.oracle import QueryOracle
+
+PARAMS = CompletionParams(epsilon=0.1)
+
+
+def probe_loop_discover(oracle: QueryOracle, params: CompletionParams) -> DiscoveryState:
+    """The reference: one drawn row, one entry read, one block read and one
+    invertibility test per probe."""
+    n1, n2 = oracle.shape
+    budget = compute_eta(n1, n2, params.epsilon)
+    rows: list[int] = []
+    cols: list[int] = []
+    stale = 0
+    while stale < budget:
+        stale += 1
+        claimed = set(cols)
+        for j in range(n2):
+            if j in claimed:
+                continue
+            i = oracle.draw_random_row()
+            oracle.query_entry(i, j)
+            if i in rows:
+                continue
+            candidate = oracle.query_block(rows + [i], cols + [j])
+            if is_invertible(candidate, params.tol):
+                oracle.query_column(j)
+                oracle.query_row(i)
+                rows.append(i)
+                cols.append(j)
+                claimed.add(j)
+                stale = 0
+    return DiscoveryState(
+        pivot_rows=rows,
+        pivot_cols=cols,
+        rank_estimate=len(rows),
+        stale_passes=stale,
+        pass_budget=budget,
+    )
+
+
+def _sources():
+    """About 60 small instances across the generator's families."""
+    for s in range(20):
+        n1, n2 = 15 + 3 * s, 40 - s
+        yield generate(GeneratorConfig(n1=n1, n2=n2, rank_r=1 + s % 5,
+                                       num_noisy=s % 3, seed=100 + s)), s
+    for s in range(15):
+        yield generate(GeneratorConfig(n1=40, n2=30, rank_r=4, num_noisy=2,
+                                       mode="sparse-basis", target_psi=5,
+                                       seed=200 + s)), 50 + s
+    for s in range(15):
+        yield generate(GeneratorConfig(n1=30, n2=30, rank_r=3, num_noisy=2,
+                                       seed=300 + s, enforce_psi=True)), 80 + s
+    for s in range(6):
+        yield generate(GeneratorConfig(n1=12, n2=80, rank_r=6, num_noisy=2,
+                                       seed=400 + s)), 90 + s
+    yield np.zeros((9, 7)), 0
+    yield np.ones((6, 8)), 1
+    yield np.eye(7), 2
+
+
+SOURCES = list(_sources())
+
+
+@pytest.mark.parametrize("source, oracle_seed", SOURCES)
+def test_same_decisions_as_probe_loop(source, oracle_seed):
+    new, old = QueryOracle(source, oracle_seed), QueryOracle(source, oracle_seed)
+    got = discover(new, PARAMS)
+    expected = probe_loop_discover(old, PARAMS)
+    assert got == expected
+    np.testing.assert_array_equal(new.observed_mask, old.observed_mask)
+    assert new.unique_query_count == old.unique_query_count
+
+
+def test_probes_read_as_one_cells_event_per_sweep():
+    inst = generate(GeneratorConfig(n1=20, n2=15, rank_r=3, num_noisy=1, seed=3))
+    o = QueryOracle(inst, rng_seed=4)
+    state = discover(o, PARAMS)
+    kinds = [kind for kind, *_ in o.log.entries]
+    assert "entry" not in kinds and "block" not in kinds
+    assert kinds.count("row") == kinds.count("column") == state.rank_estimate
+    sweeps = kinds.count("cells")
+    assert state.pass_budget <= sweeps <= state.pass_budget + state.rank_estimate
+
+
+def _pivots_of(block: np.ndarray, tol: RankTolerance) -> _Pivots:
+    """The cache discovery holds when the leading k x k of `block` is the
+    pivot block and its last row and column are a probe's."""
+    k = block.shape[0] - 1
+    return _Pivots(block[:k, :], block[:, :k], range(k), range(k), tol)
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    k=st.integers(0, 35),
+    log_cond=st.floats(0.0, 9.0),
+    log_scale=st.floats(-150.0, 150.0),
+    log_threshold=st.floats(-14.0, -1.0),
+    delta=st.one_of(st.just(0.0), st.floats(-17.0, 0.0).map(lambda e: 10.0**e)),
+    near_threshold=st.one_of(st.none(), st.floats(-3.0, 3.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_filter_never_rejects_an_invertible_block(
+    k, log_cond, log_scale, log_threshold, delta, near_threshold, seed
+):
+    # v = x A^-1 y + delta: the bordered block is singular up to delta,
+    # relative to its largest entry, and A has condition number up to 1e9.
+    # Half the draws put delta within three decades of rel_threshold, where
+    # the filter and the SVD are closest to disagreeing.
+    if near_threshold is not None:
+        delta = min(1.0, 10.0 ** (log_threshold + near_threshold))
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    w, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    a = (u * np.logspace(0.0, -log_cond, k)) @ w.T
+    x, y = rng.standard_normal(k), rng.standard_normal(k)
+    v = x @ np.linalg.solve(a, y) if k else 0.0
+    largest = max(np.abs(a).max(initial=0.0), np.abs(x).max(initial=0.0),
+                  np.abs(y).max(initial=0.0), abs(v), 1.0)
+    v += delta * largest * rng.choice([-1.0, 1.0])
+    block = np.block([[a, y[:, None]], [x[None, :], np.array([[v]])]])
+    block *= 10.0**log_scale
+    tol = RankTolerance(10.0**log_threshold)
+    rejected = _pivots_of(block, tol).rejects(np.array([k]), np.array([k]),
+                                              np.array([block[k, k]]))
+    if rejected[0]:
+        assert not is_invertible(block, tol)
+
+
+@pytest.mark.parametrize(
+    "block",
+    [
+        # W = A^-1 P overflows to inf, so every bound term is inf or NaN.
+        np.array([[1e-200, 1e200], [1e200, 1e200]]),
+        # W overflows and the probe's pivot-column entry is 0, so the bound
+        # is NaN.
+        np.array([[1e-200, 1e200], [0.0, 1.0]]),
+    ],
+)
+def test_non_finite_bound_falls_through(block):
+    tol = RankTolerance()
+    k = block.shape[0] - 1
+    pivots = _pivots_of(block, tol)
+    assert not pivots.rejects(np.array([k]), np.array([k]), np.array([block[k, k]]))[0]
+    accepted = pivots.first_accepted(np.array([k]), np.array([k]), np.array([block[k, k]]))
+    assert accepted == (0 if is_invertible(block, tol) else None)
+
+
+def test_block_is_the_bordered_submatrix():
+    n = np.arange(30.0).reshape(5, 6) ** 1.5
+    rows, cols = [3, 0], [4, 1]
+    pivots = _Pivots(n[rows, :], n[:, cols], rows, cols, RankTolerance())
+    np.testing.assert_array_equal(pivots.block(2, 5, n[2, 5]),
+                                  n[np.ix_(rows + [2], cols + [5])])

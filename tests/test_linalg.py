@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from noisyrows import linalg
 from noisyrows.linalg import (
     CapacityError,
     DegenerateSystemError,
@@ -18,6 +21,7 @@ from noisyrows.linalg import (
     row_space_basis,
     solve_least_squares,
     sparsity_number,
+    unit_vectors_in_colspace,
 )
 from noisyrows.verify import ei_in_colspace_append
 
@@ -294,6 +298,34 @@ class TestUnitCoordinateDetector:
         assert has_unit_coordinate_vector(m) == any(
             ei_in_colspace(m, i) for i in range(m.shape[0])
         )
+
+
+class TestUnitVectorsInColspace:
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    def test_chunked_flags_equal_unchunked(self, monkeypatch, chunk):
+        rng = np.random.default_rng(chunk)
+        for _ in range(20):
+            n1 = int(rng.integers(1, 40))
+            m = rng.standard_normal((n1, int(rng.integers(1, 8))))
+            if rng.random() < 0.5:
+                m[:, 0] = 0.0
+                m[rng.integers(n1), 0] = 1.0
+            rows = rng.integers(n1, size=int(rng.integers(0, 2 * n1)))
+            monkeypatch.setattr(linalg, "_RESIDUAL_CHUNK", 10**9)
+            whole = unit_vectors_in_colspace(m, rows)
+            monkeypatch.setattr(linalg, "_RESIDUAL_CHUNK", chunk)
+            np.testing.assert_array_equal(unit_vectors_in_colspace(m, rows), whole)
+
+    def test_memory_stays_small_over_all_rows(self):
+        # One n1 x n1 residual array would take 32 MB here.
+        m = np.random.default_rng(5).standard_normal((2000, 35))
+        tracemalloc.start()
+        try:
+            has_unit_coordinate_vector(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
 
 class TestRankTolerance:

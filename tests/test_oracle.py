@@ -138,12 +138,74 @@ class TestBlockQueries:
         np.testing.assert_array_equal(block, values[:, [2, 4]])
 
 
+class TestCellQueries:
+    def test_values_in_given_order(self):
+        values = np.arange(20, dtype=float).reshape(4, 5)
+        o = QueryOracle(values)
+        rows, cols = [3, 0, 2, 3], [4, 1, 1, 0]
+        np.testing.assert_array_equal(o.query_cells(rows, cols), values[rows, cols])
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 4)), max_size=30))
+    def test_count_and_mask_equal_entry_reads(self, cells):
+        a, b = fresh_oracle(), fresh_oracle()
+        a.query_row(1)
+        b.query_row(1)
+        for i, j in cells:
+            a.query_entry(i, j)
+        rows, cols = [i for i, _ in cells], [j for _, j in cells]
+        b.query_cells(rows, cols)
+        assert b.unique_query_count == a.unique_query_count
+        assert type(b.unique_query_count) is int
+        np.testing.assert_array_equal(b.observed_mask, a.observed_mask)
+
+    @pytest.mark.parametrize(
+        "rows, cols",
+        [
+            ([-1], [0]),
+            ([0], [-1]),
+            ([4], [0]),
+            ([0], [5]),
+            ([1.5], [0]),
+            ([0], [2.0]),
+            ([True], [0]),
+            ([0], [np.True_]),
+            ([[0, 1]], [[0, 1]]),
+            (0, 0),
+            ([0, 1], [0]),
+        ],
+    )
+    def test_bad_indices_reveal_nothing(self, rows, cols):
+        o = fresh_oracle()
+        with pytest.raises(IndexError):
+            o.query_cells(rows, cols)
+        assert o.unique_query_count == 0
+        assert not o.observed_mask.any()
+        assert o.log.entries == []
+
+    def test_one_cells_event(self):
+        o = fresh_oracle()
+        o.query_cells([0, 1, 0], [1, 2, 1])
+        o.query_cells([], [])
+        assert o.log.entries == [("cells", None, None, 2), ("cells", None, None, 2)]
+
+
 class TestRandomRowDraws:
     def test_equal_seeds_replay(self):
         a, b = fresh_oracle(seed=42), fresh_oracle(seed=42)
         assert [a.draw_random_row() for _ in range(50)] == [
             b.draw_random_row() for _ in range(50)
         ]
+
+    @pytest.mark.parametrize("n1", [7, 36, 100, 400, 2000])
+    @pytest.mark.parametrize("seed", [0, 11, 2**40 + 3])
+    def test_batched_draws_equal_successive_draws(self, n1, seed):
+        one, batched = QueryOracle(np.zeros((n1, 1)), seed), QueryOracle(np.zeros((n1, 1)), seed)
+        expected = [one.draw_random_row() for _ in range(1000)]
+        got = []
+        for size in [0, 1, 3, 400, 17, 0, 579]:
+            got += batched.draw_random_rows(size).tolist()
+        assert got == expected
 
     def test_uniformity(self):
         o = QueryOracle(np.zeros((10, 3)), rng_seed=5)
