@@ -21,7 +21,6 @@ from .completion import CompletionParams, query_budget
 from .completion import run as run_completion
 from .instances import (
     GeneratorConfig,
-    InstanceFormatError,
     compute_profile,
     generate,
     load,
@@ -231,10 +230,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InstanceFormatError, FileNotFoundError, IsADirectoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

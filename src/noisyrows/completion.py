@@ -318,22 +318,20 @@ def recover(
 def run(oracle: QueryOracle, params: CompletionParams | None = None) -> CompletionResult:
     """Full pipeline: discovery, noisy-row identification, recovery.
 
-    Failures surface as statuses, never as invented output. When every
-    discovered row is flagged, the clean column space must contain a standard
-    basis vector, which the method's precondition excludes; the result is
-    then `precondition-violated` with the zero matrix on unflagged rows (the
-    span of an empty basis). A numerically singular certificate downstream
-    of discovery yields `budget-exhausted` with no recovered values.
+    Failures surface as statuses, never as invented output. Discovery's last
+    acceptance already certified the pivot block N[R, C] invertible, so it is
+    not tested again. When every discovered row is flagged, the clean column
+    space must contain a standard basis vector, which the method's
+    precondition excludes; the result is then `precondition-violated` with
+    the zero matrix on unflagged rows (the span of an empty basis).
+    `budget-exhausted`, with no recovered values, comes only from recovery's
+    solve finding the clean pivot rows rank deficient. They are a row subset
+    of the certified block, so by interlacing their singular-value ratio
+    passes the same relative cut except at a rounding tie.
     """
     if params is None:
         params = CompletionParams()
     state = discover(oracle, params)
-
-    if state.rank_estimate > 0:
-        certificate = oracle.query_block(state.pivot_rows, state.pivot_cols)
-        if not is_invertible(certificate, params.tol):
-            return _result(oracle, state, [], STATUS_BUDGET)
-
     noisy = identify_noisy_rows(oracle, state, params)
 
     if state.rank_estimate > 0 and len(noisy) >= state.rank_estimate:

@@ -126,15 +126,15 @@ def _check_instance(inst: GroundTruthInstance, tol: RankTolerance = DEFAULT_TOL)
         raise InstanceFormatError("duplicate noisy-row indices")
     if any(not (0 <= i < n1) for i in gamma):
         raise InstanceFormatError("noisy-row index out of range")
-    if len(gamma) > n1:
-        raise InstanceFormatError("more noisy rows than rows")
-    gamma_set = set(gamma)
-    for i in range(n1):
-        row_zero = not np.any(noise[i])
-        if row_zero and i in gamma_set:
+    # Built only now: a negative index would have wrapped.
+    in_gamma = np.zeros(n1, dtype=bool)
+    in_gamma[list(gamma)] = True
+    mismatched = np.flatnonzero(noise.any(axis=1) != in_gamma)
+    if mismatched.size:
+        i = int(mismatched[0])
+        if in_gamma[i]:
             raise InstanceFormatError(f"noisy row {i} carries no noise")
-        if not row_zero and i not in gamma_set:
-            raise InstanceFormatError(f"row {i} carries noise but is not in gamma")
+        raise InstanceFormatError(f"row {i} carries noise but is not in gamma")
     if not np.allclose(n_obs, m + noise, rtol=0.0, atol=0.0):
         raise InstanceFormatError("observed matrix is not m + noise")
     if numerical_rank(m, tol) != inst.rank_r:

@@ -205,11 +205,6 @@ def sparsity_number(basis: SubspaceBasis) -> int:
     raise AssertionError("unreachable: every subspace has a member by k = n-d+1")
 
 
-def nonsparsity_number(basis: SubspaceBasis) -> int:
-    """Ambient dimension minus the sparsity number."""
-    return basis.ambient_dim - sparsity_number(basis)
-
-
 def has_unit_coordinate_vector(m, tol: RankTolerance = DEFAULT_TOL) -> bool:
     """True iff some standard basis vector lies in the column space of m.
 

@@ -1,0 +1,132 @@
+"""Per-phase decision and read counts of completion.run().
+
+The counts are deterministic, so they pin the work each phase does, not its
+time: a change that brought back a re-check, one SVD per probe or a per-cell
+read loop fails here whatever the machine's speed. The wrappers are
+installed by monkeypatching, as the benchmark's tracer does: the three phase
+functions as `run` calls them mark the phase, and every `np.linalg` SVD,
+least-squares and solve call and every `QueryOracle` read or draw is counted
+against the phase it happens in. Anything in `run` outside the three phases
+counts under "run".
+
+Ceilings, with k pivots and S sweeps (`draw_random_rows` calls):
+  run        no SVD, solve or oracle call at all
+  discover   at most k SVDs (one per acceptance), exactly k row and k column
+             reads, one cell read per sweep, no entry or block reads, and at
+             most S + k (ceil(log2 n2) + 1) solves (the doubling windows)
+  identify   at most 1 SVD and 1 block read
+  recover    at most 1 SVD, 1 lstsq and 3 block reads
+A later change may lower a ceiling; raising one is a change of behaviour.
+"""
+import math
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from noisyrows import completion
+from noisyrows.completion import CompletionParams
+from noisyrows.instances import GeneratorConfig, generate
+from noisyrows.oracle import QueryOracle
+from test_completion import PINNED_RUNS
+
+PARAMS = CompletionParams(epsilon=0.1)
+
+PHASES = {"discover": "discover", "identify_noisy_rows": "identify", "recover": "recover"}
+LINALG = ("svd", "lstsq", "solve")
+ORACLE = ("query_entry", "query_row", "query_column", "query_block", "query_cells",
+          "draw_random_rows")
+
+
+def counted_run(monkeypatch, oracle):
+    """run(oracle) with every counted call tallied by phase."""
+    counts = {name: Counter() for name in ("run", *PHASES.values())}
+    stack = ["run"]
+
+    def phase(name, fn):
+        def wrapper(*args, **kwargs):
+            stack.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                stack.pop()
+        return wrapper
+
+    def counter(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[stack[-1]][name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    with monkeypatch.context() as mp:
+        for attr, name in PHASES.items():
+            mp.setattr(completion, attr, phase(name, getattr(completion, attr)))
+        for name in LINALG:
+            mp.setattr(np.linalg, name, counter(name, getattr(np.linalg, name)))
+        for name in ORACLE:
+            mp.setattr(QueryOracle, name, counter(name, getattr(QueryOracle, name)))
+        result = completion.run(oracle, PARAMS)
+    return result, counts
+
+
+def _instance_oracle(config, oracle_seed):
+    return lambda: QueryOracle(generate(GeneratorConfig(**config)), rng_seed=oracle_seed)
+
+
+def _precondition_oracle():
+    m = np.zeros((5, 4))
+    m[0, :] = [1.0, 2.0, 3.0, 4.0]
+    return QueryOracle(m, rng_seed=0)
+
+
+# One case per benchmark workload, at that workload's first seed (101).
+WORKLOAD_CASES = [
+    ("square", dict(n1=400, n2=400, rank_r=10, num_noisy=3, seed=101000), 101500),
+    ("wide", dict(n1=36, n2=2000, rank_r=30, num_noisy=3, seed=101000), 101500),
+    ("trials-gaussian", dict(n1=100, n2=100, rank_r=6, num_noisy=3, seed=10100000,
+                             enforce_psi=True), 10150000),
+    ("trials-sparse", dict(n1=100, n2=100, rank_r=6, num_noisy=3, mode="sparse-basis",
+                           target_psi=5, seed=10100001), 10150001),
+]
+
+CASES = (
+    [pytest.param(_instance_oracle(config, seed), id=f"pinned-{k}")
+     for k, (config, seed, _) in enumerate(PINNED_RUNS)]
+    + [pytest.param(_precondition_oracle, id="precondition")]
+    + [pytest.param(_instance_oracle(config, seed), id=name)
+       for name, config, seed in WORKLOAD_CASES]
+)
+
+
+@pytest.mark.parametrize("make_oracle", CASES)
+def test_each_decision_once(monkeypatch, make_oracle):
+    oracle = make_oracle()
+    result, counts = counted_run(monkeypatch, oracle)
+    k = len(result.pivot_cols)
+    n2 = oracle.shape[1]
+    assert k > 0
+
+    assert counts["run"] == Counter()
+
+    found = counts["discover"]
+    sweeps = found["draw_random_rows"]
+    assert found["svd"] <= k
+    assert found["query_row"] == k
+    assert found["query_column"] == k
+    assert found["query_cells"] == sweeps
+    assert found["query_entry"] == 0
+    assert found["query_block"] == 0
+    assert found["lstsq"] == 0
+    assert found["solve"] <= sweeps + k * (math.ceil(math.log2(n2)) + 1)
+
+    flagged = counts["identify"]
+    assert flagged["svd"] <= 1
+    assert flagged["query_block"] <= 1
+    assert set(flagged) <= {"svd", "query_block"}
+
+    solved = counts["recover"]
+    assert solved["svd"] <= 1
+    assert solved["lstsq"] <= 1
+    assert solved["query_block"] <= 3
+    assert set(solved) <= {"svd", "lstsq", "query_block"}
+

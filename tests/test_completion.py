@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from noisyrows import completion
 from noisyrows.completion import (
+    STATUS_BUDGET,
     STATUS_OK,
     STATUS_PRECONDITION,
     CompletionParams,
@@ -18,7 +20,7 @@ from noisyrows.completion import (
     run,
 )
 from noisyrows.instances import GeneratorConfig, generate
-from noisyrows.linalg import is_invertible, numerical_rank
+from noisyrows.linalg import DegenerateSystemError, RankTolerance, is_invertible, numerical_rank
 from noisyrows.oracle import QueryOracle
 from noisyrows.verify import max_relative_error
 
@@ -256,6 +258,85 @@ class TestRun:
             numerical_rank(result.recovered[clean, :], PARAMS.tol)
             == len(result.pivot_rows) - len(result.noisy_rows_hat)
         )
+
+
+def near_threshold_matrix(seed, n1, n2, rel_threshold, scale_exp, noise_rel):
+    """An n1 x n2 matrix whose singular values straddle rel_threshold times
+    the largest: each one after the first lies within 1.5 decades of that cut
+    or between it and the largest. The whole is scaled by 10**scale_exp; with
+    `noise_rel`, one row gets noise of that size relative to the scale."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, min(n1, n2) + 1))
+    cut = math.log10(rel_threshold)
+    near = rng.random(k) < 0.5
+    exps = np.where(near, cut + rng.uniform(-1.5, 1.5, k), rng.uniform(cut, 0.0, k))
+    exps[0] = 0.0
+    u, _ = np.linalg.qr(rng.standard_normal((n1, k)))
+    v, _ = np.linalg.qr(rng.standard_normal((n2, k)))
+    m = (u * 10.0 ** exps) @ v.T
+    if noise_rel is not None:
+        m[rng.integers(n1)] += noise_rel * rng.standard_normal(n2)
+    return m * 10.0 ** scale_exp
+
+
+class TestOutputContract:
+    """Near the rank threshold, at any scale: the pivot block that discovery
+    leaves is invertible, and run() keeps its output contract."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 30),
+        st.integers(2, 30),
+        st.floats(min_value=-13.0, max_value=-2.0),
+        st.floats(min_value=-100.0, max_value=100.0),
+        # About a third of the examples get a noise row.
+        st.one_of(st.none(), st.none(), st.floats(min_value=-12.0, max_value=0.0)),
+    )
+    def test_near_threshold(self, seed, n1, n2, tol_exp, scale_exp, noise_exp):
+        params = CompletionParams(epsilon=0.1, tol=RankTolerance(10.0 ** tol_exp))
+        noise_rel = None if noise_exp is None else 10.0 ** noise_exp
+        m = near_threshold_matrix(seed, n1, n2, 10.0 ** tol_exp, scale_exp, noise_rel)
+
+        state = discover(QueryOracle(m, rng_seed=seed), params)
+        if state.pivot_rows:
+            assert is_invertible(m[np.ix_(state.pivot_rows, state.pivot_cols)], params.tol)
+
+        oracle = QueryOracle(m, rng_seed=seed)
+        result = run(oracle, params)
+        assert result.status in (STATUS_OK, STATUS_PRECONDITION, STATUS_BUDGET)
+        assert result.recovered.shape == m.shape
+        flagged = list(result.noisy_rows_hat)
+        assert np.isnan(result.recovered[flagged]).all()
+        if result.status == STATUS_BUDGET:
+            assert np.isnan(result.recovered).all()
+        if result.status == STATUS_PRECONDITION:
+            unflagged = [i for i in range(n1) if i not in set(flagged)]
+            assert (result.recovered[unflagged] == 0.0).all()
+        assert result.query_count == oracle.unique_query_count
+
+    def test_degenerate_recovery_is_budget_exhausted(self, monkeypatch):
+        # Recovery's solve is the only source of budget-exhausted; it fails
+        # only at a rounding tie, so the failure is forced here.
+        def degenerate(*args, **kwargs):
+            raise DegenerateSystemError("forced")
+
+        identified = []
+
+        def identify(*args, **kwargs):
+            identified.append(identify_noisy_rows(*args, **kwargs))
+            return identified[0]
+
+        monkeypatch.setattr(completion, "solve_least_squares", degenerate)
+        monkeypatch.setattr(completion, "identify_noisy_rows", identify)
+        inst = generate(GeneratorConfig(n1=40, n2=60, rank_r=4, num_noisy=2, seed=11))
+        oracle = QueryOracle(inst, rng_seed=5)
+        result = run(oracle, PARAMS)
+        assert result.status == STATUS_BUDGET
+        assert np.isnan(result.recovered).all()
+        assert len(identified) == 1 and result.noisy_rows_hat == tuple(identified[0])
+        assert result.noisy_rows_hat == inst.noisy_rows
+        assert result.query_count == oracle.unique_query_count
 
 
 class TestQueryBudget:

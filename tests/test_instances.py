@@ -194,3 +194,27 @@ class TestSaveLoad:
         path.write_text(json.dumps(doc))
         with pytest.raises(InstanceFormatError):
             load(path)
+
+    def test_noisy_row_without_noise_is_named(self, seed7_instance, tmp_path):
+        path = tmp_path / "inst.json"
+        save(seed7_instance, path)
+        doc = json.loads(path.read_text())
+        (row,) = doc["gamma"]
+        doc["noise"][row] = [0.0] * doc["n2"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InstanceFormatError, match=f"noisy row {row} carries no noise"):
+            load(path)
+
+    def test_lowest_mismatched_row_is_named(self, seed7_instance, tmp_path):
+        path = tmp_path / "inst.json"
+        save(seed7_instance, path)
+        doc = json.loads(path.read_text())
+        (row,) = doc["gamma"]
+        clean = [i for i in range(doc["n1"]) if i != row]
+        # Noise on the two highest clean rows: the lower one is reported.
+        for i in clean[-2:]:
+            doc["noise"][i] = [1.0] * doc["n2"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InstanceFormatError,
+                           match=f"row {clean[-2]} carries noise but is not in gamma"):
+            load(path)

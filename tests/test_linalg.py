@@ -16,7 +16,6 @@ from noisyrows.linalg import (
     ei_in_colspace,
     has_unit_coordinate_vector,
     is_invertible,
-    nonsparsity_number,
     numerical_rank,
     row_space_basis,
     solve_least_squares,
@@ -214,11 +213,6 @@ class TestSparsityNumber:
     def test_two_dim_span(self):
         # members are (a, a+b, b); no single-nonzero member, (1, 0, -1) has two
         assert sparsity_number(span([1, 1, 0], [0, 1, 1])) == 2
-
-    def test_nonsparsity_examples(self):
-        assert nonsparsity_number(span([1, 0, 0])) == 2
-        assert nonsparsity_number(span([1, 1, 1])) == 0
-        assert nonsparsity_number(span([1, 1, 0], [0, 1, 1])) == 1
 
     def test_capacity_cap(self):
         vec = np.zeros(23)
