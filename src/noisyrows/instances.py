@@ -116,7 +116,8 @@ class SparsityProfile:
     psi_row_clean: int
 
 
-def _check_instance(inst: GroundTruthInstance, tol: RankTolerance = DEFAULT_TOL) -> None:
+def _check_structure(inst: GroundTruthInstance) -> None:
+    """Shapes, the noisy-row set, the noise-row pattern and n_observed = m + noise."""
     m, noise, n_obs = inst.m, inst.noise, inst.n_observed
     n1, n2 = m.shape
     if noise.shape != (n1, n2) or n_obs.shape != (n1, n2):
@@ -135,16 +136,75 @@ def _check_instance(inst: GroundTruthInstance, tol: RankTolerance = DEFAULT_TOL)
         if in_gamma[i]:
             raise InstanceFormatError(f"noisy row {i} carries no noise")
         raise InstanceFormatError(f"row {i} carries noise but is not in gamma")
-    if not np.allclose(n_obs, m + noise, rtol=0.0, atol=0.0):
+    if not np.array_equal(n_obs, m + noise):
         raise InstanceFormatError("observed matrix is not m + noise")
-    if numerical_rank(m, tol) != inst.rank_r:
+
+
+def _check_ranks(inst: GroundTruthInstance, clean_rank, observed_rank) -> None:
+    """Compare rank(m) and rank(n_observed), each computed by its callable
+    only when reached, with the declared rank r and r + |gamma|."""
+    if clean_rank() != inst.rank_r:
         raise InstanceFormatError("clean matrix rank does not match declared rank")
-    if numerical_rank(n_obs, tol) != inst.rank_r + len(gamma):
+    if observed_rank() != inst.rank_r + len(inst.noisy_rows):
         raise InstanceFormatError("observed matrix rank is not rank + noisy count")
 
 
-def _draw_candidate(config: GeneratorConfig, attempt: int) -> GroundTruthInstance:
-    """One raw draw; invariants are not yet verified."""
+def _check_instance(inst: GroundTruthInstance, tol: RankTolerance = DEFAULT_TOL) -> None:
+    """Every invariant of an instance, with the ranks taken of the dense matrices."""
+    _check_structure(inst)
+    _check_ranks(
+        inst,
+        lambda: numerical_rank(inst.m, tol),
+        lambda: numerical_rank(inst.n_observed, tol),
+    )
+
+
+def _product_rank(a: np.ndarray, b: np.ndarray, tol: RankTolerance = DEFAULT_TOL) -> int:
+    """numerical_rank(a @ b) for an n1 x k and a k x n2 factor, without the product.
+
+    With the thin QRs a = Q_a R_a and b^T = Q_b R_b, a @ b = Q_a (R_a R_b^T) Q_b^T
+    has the singular values of the small core R_a R_b^T.
+    """
+    return numerical_rank(np.linalg.qr(a, mode="r") @ np.linalg.qr(b.T, mode="r").T, tol)
+
+
+def _check_draw(
+    inst: GroundTruthInstance,
+    left: np.ndarray,
+    right: np.ndarray,
+    enforce_psi: bool,
+    tol: RankTolerance = DEFAULT_TOL,
+) -> None:
+    """The invariants of a fresh draw m = left @ right, with the rank and psi
+    decisions made on the factors instead of the dense n1 x n2 matrices.
+
+    n_observed = [left | E_gamma] @ [right; noise[gamma]], where E_gamma holds
+    the unit columns e_i for i in gamma.
+    """
+    _check_structure(inst)
+    gamma = list(inst.noisy_rows)
+    units = np.zeros((inst.n1, len(gamma)))
+    units[gamma, range(len(gamma))] = 1.0
+    _check_ranks(
+        inst,
+        lambda: _product_rank(left, right, tol),
+        lambda: _product_rank(
+            np.hstack([left, units]), np.vstack([right, inst.noise[gamma]]), tol
+        ),
+    )
+    if enforce_psi:
+        # m[clean] = left[clean] R^T Q^T for the thin QR right^T = Q R, so the
+        # n x r matrix left[clean] R^T has the singular values and left
+        # singular vectors of m[clean]: the same cut and the same residuals.
+        clean_basis = left[list(inst.clean_rows)] @ np.linalg.qr(right.T, mode="r").T
+        if has_unit_coordinate_vector(clean_basis, tol):
+            raise InstanceFormatError("clean column space contains a standard basis vector")
+
+
+def _draw_candidate(
+    config: GeneratorConfig, attempt: int
+) -> tuple[GroundTruthInstance, np.ndarray, np.ndarray]:
+    """One raw draw and its factors (m = left @ right); invariants are not yet verified."""
     rng = np.random.default_rng(np.random.SeedSequence([config.seed & (2**64 - 1), attempt]))
     n1, n2, r, g = config.n1, config.n2, config.rank_r, config.num_noisy
     gamma = tuple(sorted(rng.choice(n1, size=g, replace=False).tolist())) if g else ()
@@ -168,7 +228,7 @@ def _draw_candidate(config: GeneratorConfig, attempt: int) -> GroundTruthInstanc
     noise = np.zeros((n1, n2))
     if g:
         noise[list(gamma), :] = rng.standard_normal((g, n2))
-    return GroundTruthInstance(
+    inst = GroundTruthInstance(
         m=m,
         noisy_rows=gamma,
         noise=noise,
@@ -176,29 +236,26 @@ def _draw_candidate(config: GeneratorConfig, attempt: int) -> GroundTruthInstanc
         rank_r=r,
         seed=config.seed,
     )
+    return inst, left, right
 
 
 def generate(config: GeneratorConfig, tol: RankTolerance = DEFAULT_TOL) -> GroundTruthInstance:
     """Draw an instance, retrying with derived seeds until invariants hold.
 
+    The rank checks, and the psi check under enforce_psi, run on the drawn
+    factors (small QR cores, an n x r clean basis), never on the dense
+    n1 x n2 matrices; load() has no factors and checks the dense matrices.
     Degenerate draws are measure-zero events but do occur in floating point;
     after MAX_GENERATION_ATTEMPTS rejections a GenerationError is raised.
     """
     last_error = None
     for attempt in range(MAX_GENERATION_ATTEMPTS):
-        inst = _draw_candidate(config, attempt)
+        inst, left, right = _draw_candidate(config, attempt)
         try:
-            _check_instance(inst, tol)
+            _check_draw(inst, left, right, config.enforce_psi, tol)
         except InstanceFormatError as exc:
             last_error = exc
             continue
-        if config.enforce_psi:
-            clean_m = inst.m[list(inst.clean_rows), :]
-            if has_unit_coordinate_vector(clean_m, tol):
-                last_error = InstanceFormatError(
-                    "clean column space contains a standard basis vector"
-                )
-                continue
         for arr in (inst.m, inst.noise, inst.n_observed):
             arr.flags.writeable = False
         return inst

@@ -16,6 +16,8 @@ Ceilings, with k pivots and S sweeps (`draw_random_rows` calls):
              most S + k (ceil(log2 n2) + 1) solves (the doubling windows)
   identify   at most 1 SVD and 1 block read
   recover    at most 1 SVD, 1 lstsq and 3 block reads
+  generate   at most 3 SVDs per draw attempt (two ranks and the psi check),
+             none of an input wider than r + g columns
 A later change may lower a ceiling; raising one is a change of behaviour.
 """
 import math
@@ -24,9 +26,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from noisyrows import completion
+from noisyrows import completion, instances
 from noisyrows.completion import CompletionParams
-from noisyrows.instances import GeneratorConfig, generate
+from noisyrows.instances import (
+    MAX_GENERATION_ATTEMPTS,
+    GenerationError,
+    GeneratorConfig,
+    generate,
+)
 from noisyrows.oracle import QueryOracle
 from test_completion import PINNED_RUNS
 
@@ -130,3 +137,44 @@ def test_each_decision_once(monkeypatch, make_oracle):
     assert solved["query_block"] <= 3
     assert set(solved) <= {"svd", "lstsq", "query_block"}
 
+
+def counted_generate(monkeypatch, config):
+    """(instance or None, SVD input widths, draw attempts) of generate(config)."""
+    widths, attempts = [], []
+    svd, draw = np.linalg.svd, instances._draw_candidate
+
+    def counted_svd(a, *args, **kwargs):
+        widths.append(np.shape(a)[1])
+        return svd(a, *args, **kwargs)
+
+    def counted_draw(*args):
+        attempts.append(args)
+        return draw(*args)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(np.linalg, "svd", counted_svd)
+        mp.setattr(instances, "_draw_candidate", counted_draw)
+        try:
+            inst = generate(config)
+        except GenerationError:
+            inst = None
+    return inst, widths, len(attempts)
+
+
+GENERATE_CASES = (
+    [pytest.param(config, True, id=f"pinned-{k}")
+     for k, (config, _, _) in enumerate(PINNED_RUNS)]
+    + [pytest.param(config, True, id=name) for name, config, _ in WORKLOAD_CASES]
+    # Every draw fails the psi check: the clean space is all of R^4.
+    + [pytest.param(dict(n1=4, n2=5, rank_r=4, enforce_psi=True), False, id="rejected")]
+)
+
+
+@pytest.mark.parametrize("config, generated", GENERATE_CASES)
+def test_generate_checks_the_factors(monkeypatch, config, generated):
+    config = GeneratorConfig(**config)
+    inst, widths, attempts = counted_generate(monkeypatch, config)
+    assert (inst is not None) == generated
+    assert attempts == (1 if generated else MAX_GENERATION_ATTEMPTS)
+    assert len(widths) <= 3 * attempts
+    assert max(widths) <= config.rank_r + config.num_noisy

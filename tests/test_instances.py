@@ -1,19 +1,25 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from noisyrows.instances import (
+    MAX_GENERATION_ATTEMPTS,
+    GenerationError,
     GeneratorConfig,
     GroundTruthInstance,
     InstanceFormatError,
+    _check_draw,
+    _check_instance,
     _draw_candidate,
+    _product_rank,
     compute_profile,
     generate,
     load,
     save,
 )
-from noisyrows.linalg import CapacityError, numerical_rank
+from noisyrows.linalg import CapacityError, has_unit_coordinate_vector, numerical_rank
 
 
 @pytest.fixture
@@ -99,7 +105,7 @@ class TestGenerate:
         bad = 0
         for seed in range(200):
             cfg = GeneratorConfig(n1=8, n2=8, rank_r=2, num_noisy=1, seed=seed)
-            inst = _draw_candidate(cfg, 0)
+            inst, _, _ = _draw_candidate(cfg, 0)
             ok = (
                 numerical_rank(inst.m) == 2
                 and numerical_rank(inst.n_observed) == 3
@@ -114,6 +120,106 @@ class TestGenerate:
             base = rng.standard_normal((6, k)) @ rng.standard_normal((k, 8))
             stacked = np.vstack([base, rng.standard_normal(8)])
             assert numerical_rank(stacked) == numerical_rank(base) + 1
+
+
+def _factor_cases():
+    rng = np.random.default_rng(31)
+    left, right = rng.standard_normal((9, 3)), rng.standard_normal((3, 7))
+    duplicated = left.copy()
+    duplicated[:, 2] = duplicated[:, 0]
+    gamma = [1, 4]
+    units = np.zeros((9, 2))
+    units[gamma, [0, 1]] = 1.0
+    noise_rows = rng.standard_normal((2, 7))
+    return [
+        pytest.param(left, right, 3, id="full-rank"),
+        pytest.param(np.hstack([left, units]), np.vstack([right, noise_rows]), 5,
+                     id="full-rank-with-gamma"),
+        pytest.param(duplicated, right, 2, id="duplicated-column"),
+        pytest.param(np.hstack([duplicated, units]), np.vstack([right, noise_rows]), 4,
+                     id="duplicated-column-with-gamma"),
+        pytest.param(np.zeros((9, 3)), right, 0, id="zero-left"),
+        pytest.param(left, np.zeros((3, 7)), 0, id="zero-right"),
+        pytest.param(np.hstack([left, np.zeros((9, 0))]), np.vstack([right, np.zeros((0, 7))]),
+                     3, id="empty-gamma"),
+        pytest.param(np.zeros((9, 0)), np.zeros((0, 7)), 0, id="empty-factors"),
+    ]
+
+
+# Small versions of the benchmark shapes (square, wide, trials), g = 0, both
+# modes with and without enforce_psi, and a clean space that is all of R^5,
+# where every draw fails the psi check.
+EQUIVALENCE_CONFIGS = [
+    dict(n1=40, n2=40, rank_r=4, num_noisy=3),
+    dict(n1=12, n2=200, rank_r=8, num_noisy=2),
+    dict(n1=30, n2=30, rank_r=6, num_noisy=3, enforce_psi=True),
+    dict(n1=30, n2=30, rank_r=6, num_noisy=3, mode="sparse-basis", target_psi=3),
+    dict(n1=12, n2=10, rank_r=3, num_noisy=1, mode="sparse-basis", target_psi=3,
+         enforce_psi=True),
+    dict(n1=10, n2=8, rank_r=3, num_noisy=0, enforce_psi=True),
+    dict(n1=5, n2=6, rank_r=5, num_noisy=0, enforce_psi=True),
+]
+EQUIVALENCE_SEEDS = range(43)
+PSI_REJECTED = "clean column space contains a standard basis vector"
+
+
+def _dense_verdict(config, inst):
+    """The dense reference decision: None, or the message of the first failed check."""
+    try:
+        _check_instance(inst)
+    except InstanceFormatError as exc:
+        return str(exc)
+    if config.enforce_psi and has_unit_coordinate_vector(inst.m[list(inst.clean_rows)]):
+        return PSI_REJECTED
+    return None
+
+
+def _factored_verdict(config, inst, left, right):
+    try:
+        _check_draw(inst, left, right, config.enforce_psi)
+    except InstanceFormatError as exc:
+        return str(exc)
+    return None
+
+
+class TestFactoredChecks:
+    @pytest.mark.parametrize("a, b, rank", _factor_cases())
+    def test_product_rank_matches_dense(self, a, b, rank):
+        assert _product_rank(a, b) == numerical_rank(a @ b) == rank
+
+    def test_decisions_match_dense(self):
+        verdicts = []
+        for config in EQUIVALENCE_CONFIGS:
+            for seed in EQUIVALENCE_SEEDS:
+                cfg = GeneratorConfig(**config, seed=seed)
+                inst, left, right = _draw_candidate(cfg, 0)
+                dense = _dense_verdict(cfg, inst)
+                assert _factored_verdict(cfg, inst, left, right) == dense, cfg
+                verdicts.append(dense)
+        assert set(verdicts) == {None, PSI_REJECTED}
+
+    def test_generated_instances_pass_dense_checks(self):
+        outcomes = set()
+        for config in EQUIVALENCE_CONFIGS:
+            for seed in EQUIVALENCE_SEEDS:
+                cfg = GeneratorConfig(**config, seed=seed)
+                try:
+                    inst = generate(cfg)
+                except GenerationError:
+                    outcomes.add("rejected")
+                    for attempt in range(MAX_GENERATION_ATTEMPTS):
+                        assert _dense_verdict(cfg, _draw_candidate(cfg, attempt)[0]), cfg
+                    continue
+                outcomes.add("generated")
+                assert _dense_verdict(cfg, inst) is None, cfg
+        assert outcomes == {"generated", "rejected"}
+
+    def test_observed_off_by_one_ulp(self, seed7_instance):
+        n_obs = seed7_instance.n_observed.copy()
+        n_obs[2, 3] = np.nextafter(n_obs[2, 3], np.inf)
+        inst = dataclasses.replace(seed7_instance, n_observed=n_obs)
+        with pytest.raises(InstanceFormatError, match=r"observed matrix is not m \+ noise"):
+            _check_instance(inst)
 
 
 class TestComputeProfile:
@@ -218,3 +324,25 @@ class TestSaveLoad:
         with pytest.raises(InstanceFormatError,
                            match=f"row {clean[-2]} carries noise but is not in gamma"):
             load(path)
+
+    @pytest.mark.parametrize("tail, loads", [(1e-8, False), (1e-10, True)])
+    def test_rank_at_tolerance_edge(self, tmp_path, tail, loads):
+        # Declared rank 2, with a third singular value `tail` times the first:
+        # above the default 1e-9 cut the matrix has rank 3, below it rank 2.
+        rng = np.random.default_rng(5)
+        u, _ = np.linalg.qr(rng.standard_normal((8, 3)))
+        v, _ = np.linalg.qr(rng.standard_normal((6, 3)))
+        m = (u * [1.0, 0.5, tail]) @ v.T
+        s = np.linalg.svd(m, compute_uv=False)
+        assert s[2] / s[0] == pytest.approx(tail, rel=1e-6)
+        inst = GroundTruthInstance(
+            m=m, noisy_rows=(), noise=np.zeros_like(m), n_observed=m, rank_r=2, seed=0
+        )
+        path = tmp_path / "edge.json"
+        save(inst, path)
+        if loads:
+            np.testing.assert_array_equal(load(path).m, m)
+        else:
+            with pytest.raises(InstanceFormatError,
+                               match="clean matrix rank does not match declared rank"):
+                load(path)
