@@ -1,70 +1,3 @@
 """Adaptive exact completion of low-rank matrices with noisy-row detection."""
 
-from .completion import (
-    BoundReport,
-    CompletionParams,
-    CompletionResult,
-    DiscoveryState,
-    compute_eta,
-    discover,
-    identify_noisy_rows,
-    query_budget,
-    recover,
-    run,
-)
-from .instances import (
-    GeneratorConfig,
-    GroundTruthInstance,
-    SparsityProfile,
-    compute_profile,
-    generate,
-    load,
-    save,
-)
-from .linalg import (
-    CapacityError,
-    DegenerateSystemError,
-    RankTolerance,
-    SubspaceBasis,
-    column_space_basis,
-    ei_in_colspace,
-    is_invertible,
-    numerical_rank,
-    row_space_basis,
-    solve_least_squares,
-    sparsity_number,
-)
-from .oracle import QueryLog, QueryOracle
-
-__all__ = [
-    "BoundReport",
-    "CapacityError",
-    "CompletionParams",
-    "CompletionResult",
-    "DegenerateSystemError",
-    "DiscoveryState",
-    "GeneratorConfig",
-    "GroundTruthInstance",
-    "QueryLog",
-    "QueryOracle",
-    "RankTolerance",
-    "SparsityProfile",
-    "SubspaceBasis",
-    "column_space_basis",
-    "compute_eta",
-    "compute_profile",
-    "discover",
-    "ei_in_colspace",
-    "generate",
-    "identify_noisy_rows",
-    "is_invertible",
-    "load",
-    "numerical_rank",
-    "query_budget",
-    "recover",
-    "row_space_basis",
-    "run",
-    "save",
-    "solve_least_squares",
-    "sparsity_number",
-]
+from . import completion, instances, linalg, oracle

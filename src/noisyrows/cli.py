@@ -20,13 +20,14 @@ from pathlib import Path
 from .completion import CompletionParams, query_budget
 from .completion import run as run_completion
 from .instances import (
+    GENERATOR_MODES,
     GeneratorConfig,
     compute_profile,
     generate,
     load,
     save,
 )
-from .linalg import CapacityError, RankTolerance
+from .linalg import DEFAULT_TOL, CapacityError, RankTolerance
 from .oracle import QueryOracle
 from .verify import (
     estimate_success_rate,
@@ -34,8 +35,8 @@ from .verify import (
     write_trial_stats_csv,
 )
 
-DEFAULT_EPSILON = 0.1
-DEFAULT_TOL_VALUE = 1e-9
+DEFAULT_EPSILON = CompletionParams().epsilon
+DEFAULT_TOL_VALUE = DEFAULT_TOL.rel_threshold
 
 
 def _print_header(args) -> None:
@@ -50,16 +51,13 @@ def _add_generator_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n2", type=int, required=True, help="column count")
     p.add_argument("--rank", type=int, required=True, help="rank of the clean matrix")
     p.add_argument("--noisy", type=int, default=0, help="number of noisy rows")
-    p.add_argument(
-        "--mode", choices=["gaussian", "sparse-basis"], default="gaussian"
-    )
+    p.add_argument("--mode", choices=GENERATOR_MODES, default="gaussian")
     p.add_argument(
         "--target-psi",
         type=int,
         default=None,
         help="column-space sparsity number (sparse-basis mode only)",
     )
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--enforce-psi",
         action="store_true",
@@ -118,8 +116,8 @@ def cmd_run(args) -> int:
 
     # Generic-position sparsity numbers unless the caller knows better.
     n_clean = inst.n1 - len(inst.noisy_rows)
-    psi_u = args.psi_u if args.psi_u else max(1, n_clean - inst.rank_r + 1)
-    psi_v = args.psi_v if args.psi_v else max(1, inst.n2 - inst.rank_r + 1)
+    psi_u = args.psi_u if args.psi_u is not None else max(1, n_clean - inst.rank_r + 1)
+    psi_v = args.psi_v if args.psi_v is not None else max(1, inst.n2 - inst.rank_r + 1)
     bound = query_budget(
         inst.n1, inst.n2, inst.rank_r, len(inst.noisy_rows), psi_u, psi_v, args.epsilon
     )
@@ -148,8 +146,7 @@ def cmd_trials(args) -> int:
         epsilon=args.epsilon, tol=RankTolerance(rel_threshold=args.tol)
     )
     _print_header(args)
-    seeds = [args.base_seed + t for t in range(args.trials)]
-    stats = estimate_success_rate(config, params, args.trials, seeds=seeds)
+    stats = estimate_success_rate(config, params, args.trials)
     write_trial_stats_csv(args.output, [stats])
     print(f"wrote {args.output}: {stats.successes}/{stats.trials} successes, "
           f"mean_queries={stats.mean_queries:.1f}, "
@@ -187,6 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("generate", help="write a ground-truth instance file")
     _add_generator_flags(p_gen)
+    p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("-o", "--output", required=True, help="instance file path")
     p_gen.set_defaults(func=cmd_generate)
 
@@ -206,7 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr = sub.add_parser("trials", help="seeded Monte Carlo batch")
     _add_generator_flags(p_tr)
     p_tr.add_argument("--trials", type=int, required=True)
-    p_tr.add_argument("--base-seed", type=int, default=0)
+    p_tr.add_argument("--base-seed", dest="seed", type=int, default=0,
+                      help="seed of the first trial; trial t uses seed + t")
     p_tr.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     p_tr.add_argument("--tol", type=float, default=DEFAULT_TOL_VALUE)
     p_tr.add_argument("-o", "--output", required=True, help="CSV output path")

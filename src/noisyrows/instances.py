@@ -175,13 +175,14 @@ def _check_draw(
     enforce_psi: bool,
     tol: RankTolerance = DEFAULT_TOL,
 ) -> None:
-    """The invariants of a fresh draw m = left @ right, with the rank and psi
-    decisions made on the factors instead of the dense n1 x n2 matrices.
+    """The rank and psi invariants of a fresh draw m = left @ right, decided on
+    the factors instead of the dense n1 x n2 matrices.
 
+    The structure holds by construction (_draw_candidate builds n_observed as
+    m + noise), so only load() runs _check_structure.
     n_observed = [left | E_gamma] @ [right; noise[gamma]], where E_gamma holds
     the unit columns e_i for i in gamma.
     """
-    _check_structure(inst)
     gamma = list(inst.noisy_rows)
     units = np.zeros((inst.n1, len(gamma)))
     units[gamma, range(len(gamma))] = 1.0

@@ -8,8 +8,9 @@ under test.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from typing import get_type_hints
 
 import numpy as np
 
@@ -133,69 +134,36 @@ class TrialStats:
     proof_bound: float
     bound_violations: int
 
-    CSV_FIELDS = (
-        "n1",
-        "n2",
-        "r",
-        "omega",
-        "psi_u",
-        "epsilon",
-        "trials",
-        "successes",
-        "mean_queries",
-        "proof_bound",
-        "bound_violations",
-    )
-
     def __post_init__(self):
         if self.successes > self.trials:
             raise ValueError("successes cannot exceed trials")
         if self.mean_queries > self.n1 * self.n2:
             raise ValueError("mean queries cannot exceed the matrix size")
 
-    def csv_row(self) -> list:
-        return [
-            self.n1,
-            self.n2,
-            self.rank,
-            self.omega_size,
-            self.psi_u,
-            self.epsilon,
-            self.trials,
-            self.successes,
-            self.mean_queries,
-            self.proof_bound,
-            self.bound_violations,
-        ]
 
-    @classmethod
-    def from_csv_row(cls, row: dict) -> "TrialStats":
-        return cls(
-            n1=int(row["n1"]),
-            n2=int(row["n2"]),
-            rank=int(row["r"]),
-            omega_size=int(row["omega"]),
-            psi_u=int(row["psi_u"]),
-            epsilon=float(row["epsilon"]),
-            trials=int(row["trials"]),
-            successes=int(row["successes"]),
-            mean_queries=float(row["mean_queries"]),
-            proof_bound=float(row["proof_bound"]),
-            bound_violations=int(row["bound_violations"]),
-        )
+# The CSV columns are TrialStats' fields in order, two of them renamed:
+# (field name, column name, type) per column.
+_CSV_RENAMES = {"rank": "r", "omega_size": "omega"}
+_CSV_COLUMNS = [
+    (f.name, _CSV_RENAMES.get(f.name, f.name), get_type_hints(TrialStats)[f.name])
+    for f in fields(TrialStats)
+]
 
 
 def write_trial_stats_csv(path, stats: list[TrialStats]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
-        w.writerow(TrialStats.CSV_FIELDS)
+        w.writerow([column for _, column, _ in _CSV_COLUMNS])
         for s in stats:
-            w.writerow(s.csv_row())
+            w.writerow([getattr(s, name) for name, _, _ in _CSV_COLUMNS])
 
 
 def read_trial_stats_csv(path) -> list[TrialStats]:
     with open(path, newline="", encoding="utf-8") as f:
-        return [TrialStats.from_csv_row(row) for row in csv.DictReader(f)]
+        return [
+            TrialStats(**{name: kind(row[column]) for name, column, kind in _CSV_COLUMNS})
+            for row in csv.DictReader(f)
+        ]
 
 
 def generic_psi_profile(config: GeneratorConfig) -> tuple[int, int]:
@@ -281,19 +249,7 @@ def estimate_success_rate(
     violations = 0
     total_queries = 0
     for s in seeds[:trials]:
-        inst = generate(
-            GeneratorConfig(
-                n1=config.n1,
-                n2=config.n2,
-                rank_r=config.rank_r,
-                num_noisy=config.num_noisy,
-                mode=config.mode,
-                target_psi=config.target_psi,
-                seed=s,
-                enforce_psi=config.enforce_psi,
-            ),
-            params.tol,
-        )
+        inst = generate(replace(config, seed=s), params.tol)
         ok, queries, _ = evaluate_trial(inst, s + oracle_seed_offset, params)
         successes += ok
         total_queries += queries

@@ -1,7 +1,7 @@
-"""The benchmark's output contract, checked on a short run of the smallest
-workload: every standard-output line is JSON, so nothing the library does
-prints to stdout, and the last line is the verdict with every end-to-end
-metric that BENCHMARK.json declares."""
+"""The benchmark's output contract, checked on a short run of every workload,
+untraced and traced: every standard-output line is JSON, so nothing the
+library does prints to stdout, standard error stays empty, and the last line
+is the verdict with every end-to-end metric that BENCHMARK.json declares."""
 import json
 import os
 import subprocess
@@ -13,16 +13,26 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("trace", [0, 1])
-def test_last_line_is_the_verdict(trace):
+CASES = [
+    pytest.param(
+        workload, trace, id=f"{trace}" if workload == "trials" else f"{workload}-{trace}"
+    )
+    for workload in ("trials", "square", "wide")
+    for trace in (0, 1)
+]
+
+
+@pytest.mark.parametrize("workload, trace", CASES)
+def test_last_line_is_the_verdict(workload, trace):
     # No bytecode is written, so the run leaves perfbench/ as it was.
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "trials", "--seed", "1",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
          "--seconds", "0.1", "--trace", str(trace)],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
     lines = done.stdout.splitlines()
     parsed = [json.loads(line) for line in lines]
     verdict = parsed[-1]

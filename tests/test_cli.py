@@ -93,6 +93,11 @@ class TestRun:
 
         assert queries("0.5") <= queries("0.01")
 
+    @pytest.mark.parametrize("flag", ["--psi-u", "--psi-v"])
+    def test_zero_psi_is_rejected(self, tmp_path, flag):
+        path = make_instance(tmp_path)
+        assert main(["run", "--instance", str(path), flag, "0"]) == 1
+
 
 class TestTrials:
     def test_csv_row(self, tmp_path):
@@ -107,6 +112,22 @@ class TestTrials:
         assert stats[0].trials == 20
         assert stats[0].successes >= 16
         assert stats[0].mean_queries <= 64
+
+    def test_seed_flag_is_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit):
+            main(["trials", "--n1", "8", "--n2", "8", "--rank", "2",
+                  "--trials", "3", "--seed", "4", "-o", str(tmp_path / "s.csv")])
+
+    def test_base_seed_is_the_first_trial_seed(self, tmp_path):
+        def mean_queries(base_seed):
+            out = tmp_path / f"stats{base_seed}.csv"
+            assert main([
+                "trials", "--n1", "8", "--n2", "8", "--rank", "2", "--noisy", "1",
+                "--trials", "5", "--base-seed", base_seed, "-o", str(out),
+            ]) == 0
+            return read_trial_stats_csv(out)[0].mean_queries
+
+        assert mean_queries("0") != mean_queries("99")
 
     def test_zero_trials_usage_error(self, tmp_path):
         with pytest.raises(SystemExit):

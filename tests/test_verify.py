@@ -197,6 +197,14 @@ class TestTrialStats:
         write_trial_stats_csv(path, [stats])
         assert read_trial_stats_csv(path) == [stats]
 
+    def test_csv_header(self, tmp_path):
+        path = tmp_path / "stats.csv"
+        write_trial_stats_csv(path, [])
+        assert path.read_text(encoding="utf-8").splitlines() == [
+            "n1,n2,r,omega,psi_u,epsilon,trials,successes,mean_queries,"
+            "proof_bound,bound_violations"
+        ]
+
 
 class TestSuccessRate:
     def test_clean_family(self):
@@ -218,6 +226,13 @@ class TestSuccessRate:
             GeneratorConfig(n1=6, n2=6, rank_r=1, num_noisy=0, seed=0), PARAMS, 5
         )
         assert stats.trials == 5  # completes without crashing
+
+    def test_default_seeds_count_up_from_config_seed(self):
+        cfg = GeneratorConfig(n1=8, n2=8, rank_r=2, num_noisy=1, seed=40)
+        assert estimate_success_rate(cfg, PARAMS, 6) == estimate_success_rate(
+            GeneratorConfig(n1=8, n2=8, rank_r=2, num_noisy=1), PARAMS, 6,
+            seeds=range(40, 46),
+        )
 
     def test_needs_enough_seeds(self):
         with pytest.raises(ValueError):
