@@ -43,7 +43,7 @@ def main(argv=None) -> int:
     for k, config in enumerate(FIXTURES):
         inst = generate(config)
         psi_u = compute_profile(inst).psi_col_clean
-        state = DiscoveryState(pivot_rows=[], pivot_cols=[], rank_estimate=0,
+        state = DiscoveryState(pivot_rows=[], pivot_cols=[],
                                stale_passes=0, pass_budget=1)
         est = estimate_detection_probability(
             inst, state, probes=args.probes, seed=args.seed + k

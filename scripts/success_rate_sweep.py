@@ -29,7 +29,7 @@ FAMILIES = [
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--trials", type=int, default=200)
-    parser.add_argument("--epsilon", type=float, default=0.1)
+    parser.add_argument("--epsilon", type=float, default=CompletionParams().epsilon)
     parser.add_argument("--base-seed", type=int, default=0)
     parser.add_argument("-o", "--output", default="success_rate_sweep.csv")
     args = parser.parse_args(argv)

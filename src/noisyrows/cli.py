@@ -110,17 +110,17 @@ def cmd_run(args) -> int:
     params = CompletionParams(
         epsilon=args.epsilon, tol=RankTolerance(rel_threshold=args.tol)
     )
-    _print_header(args)
-    oracle = QueryOracle(inst, rng_seed=args.oracle_seed)
-    result = run_completion(oracle, params)
-
     # Generic-position sparsity numbers unless the caller knows better.
+    # The budget is evaluated first, so a bad value is rejected before the run.
     n_clean = inst.n1 - len(inst.noisy_rows)
     psi_u = args.psi_u if args.psi_u is not None else max(1, n_clean - inst.rank_r + 1)
     psi_v = args.psi_v if args.psi_v is not None else max(1, inst.n2 - inst.rank_r + 1)
     bound = query_budget(
         inst.n1, inst.n2, inst.rank_r, len(inst.noisy_rows), psi_u, psi_v, args.epsilon
     )
+    _print_header(args)
+    oracle = QueryOracle(inst, rng_seed=args.oracle_seed)
+    result = run_completion(oracle, params)
     err = max_relative_error(result.recovered, inst.m, list(inst.clean_rows))
 
     print(f"status: {result.status}")

@@ -23,7 +23,8 @@ Phase 3 (recovery) solves every remaining column against the pivot columns
 on the surviving clean pivot rows in one minimum-norm solve, exact because
 those rows span the clean row space, and reconstructs all entries on rows
 not flagged as noisy. Flagged rows carry no information about the
-underlying values, so they are reported as NaN, never invented.
+underlying values, so they are reported as NaN, never invented. Recovery
+also decides the run's status, so every result is built in this phase.
 
 The budget calculators evaluate the two closed-form query budgets (the
 headline bound and the per-phase sum) for given instance parameters.
@@ -68,9 +69,13 @@ class DiscoveryState:
 
     pivot_rows: list[int]
     pivot_cols: list[int]
-    rank_estimate: int
     stale_passes: int
     pass_budget: int
+
+    @property
+    def rank_estimate(self) -> int:
+        """One certified unit of rank per pivot."""
+        return len(self.pivot_rows)
 
 
 @dataclass(frozen=True)
@@ -85,17 +90,10 @@ class CompletionResult:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Both closed-form query budgets plus the parameters they were built from."""
+    """Both closed-form query budgets."""
 
     stated_bound: float
     proof_bound: float
-    n1: int
-    n2: int
-    rank: int
-    omega_size: int
-    psi_u: int
-    psi_v: int
-    epsilon: float
 
 
 def compute_eta(n1: int, n2: int, epsilon: float) -> int:
@@ -249,7 +247,6 @@ def discover(oracle: QueryOracle, params: CompletionParams) -> DiscoveryState:
     return DiscoveryState(
         pivot_rows=rows,
         pivot_cols=cols,
-        rank_estimate=len(rows),
         stale_passes=stale,
         pass_budget=budget,
     )
@@ -281,33 +278,43 @@ def recover(
     noisy_rows: list[int],
     params: CompletionParams,
 ) -> CompletionResult:
-    """Reconstruct every entry on rows not flagged as noisy.
+    """Reconstruct every entry on rows not flagged as noisy, and decide the
+    run's status.
 
     Solves all non-pivot columns at once against the pivot columns on the
     clean pivot rows: a wide system of full row rank whose minimum-norm
     solution is exact, because the clean pivot rows span the clean row
     space. The pivot columns on all clean rows times that solution give the
     other columns. Flagged rows are filled with NaN.
+
+    With no pivots the observed matrix is zero at tolerance, and the result
+    is `ok` with zeros. When every pivot row is flagged, the clean column
+    space must contain a standard basis vector, which the method's
+    precondition excludes; the result is then `precondition-violated` with
+    the zero matrix on unflagged rows (the span of an empty basis).
+    `budget-exhausted`, with no values, comes only from the solve finding
+    the clean pivot rows rank deficient. They are a row subset of the block
+    that discovery's last acceptance certified invertible, so by interlacing
+    their singular-value ratio passes the same relative cut except at a
+    rounding tie.
     """
     n1, n2 = oracle.shape
-    if state.rank_estimate == 0:
-        # Nothing certified anywhere: the observed matrix is zero at tolerance.
-        return _result(oracle, state, noisy_rows, STATUS_OK, np.zeros((n1, n2)))
-
     flagged = set(noisy_rows)
     clean_pivots = [i for i in state.pivot_rows if i not in flagged]
     if not clean_pivots:
-        raise ValueError("no clean pivot rows left to recover from")
+        status = STATUS_PRECONDITION if state.pivot_rows else STATUS_OK
+        return _result(oracle, state, noisy_rows, status, np.zeros((n1, n2)))
     clean_all = [i for i in range(n1) if i not in flagged]
     pivot_cols = list(state.pivot_cols)
     claimed = set(pivot_cols)
     others = [j for j in range(n2) if j not in claimed]
 
-    coeffs = solve_least_squares(
-        oracle.query_block(clean_pivots, pivot_cols),
-        oracle.query_block(clean_pivots, others),
-        params.tol,
-    )
+    basis = oracle.query_block(clean_pivots, pivot_cols)
+    rhs = oracle.query_block(clean_pivots, others)
+    try:
+        coeffs = solve_least_squares(basis, rhs, params.tol)
+    except DegenerateSystemError:
+        return _result(oracle, state, noisy_rows, STATUS_BUDGET)
     on_pivot_cols = oracle.query_block(clean_all, pivot_cols)
     recovered = np.full((n1, n2), np.nan)
     recovered[np.ix_(clean_all, pivot_cols)] = on_pivot_cols
@@ -318,29 +325,15 @@ def recover(
 def run(oracle: QueryOracle, params: CompletionParams | None = None) -> CompletionResult:
     """Full pipeline: discovery, noisy-row identification, recovery.
 
-    Failures surface as statuses, never as invented output. Discovery's last
-    acceptance already certified the pivot block N[R, C] invertible, so it is
-    not tested again. When every discovered row is flagged, the clean column
-    space must contain a standard basis vector, which the method's
-    precondition excludes; the result is then `precondition-violated` with
-    the zero matrix on unflagged rows (the span of an empty basis).
-    `budget-exhausted`, with no recovered values, comes only from recovery's
-    solve finding the clean pivot rows rank deficient. They are a row subset
-    of the certified block, so by interlacing their singular-value ratio
-    passes the same relative cut except at a rounding tie.
+    Failures surface as statuses, never as invented output; recovery decides
+    all three (see `recover`). Discovery's last acceptance already certified
+    the pivot block N[R, C] invertible, so it is not tested again.
     """
     if params is None:
         params = CompletionParams()
     state = discover(oracle, params)
     noisy = identify_noisy_rows(oracle, state, params)
-
-    if state.rank_estimate > 0 and len(noisy) >= state.rank_estimate:
-        return _result(oracle, state, noisy, STATUS_PRECONDITION, np.zeros(oracle.shape))
-
-    try:
-        return recover(oracle, state, noisy, params)
-    except DegenerateSystemError:
-        return _result(oracle, state, noisy, STATUS_BUDGET)
+    return recover(oracle, state, noisy, params)
 
 
 def query_budget(
@@ -382,14 +375,4 @@ def query_budget(
         + (4.0 * n1 / psi_u) * (rank + 2.0 + level) * n2 / psi_v
         + 2.0 * n1 * (omega_size + 2.0 + level)
     )
-    return BoundReport(
-        stated_bound=stated,
-        proof_bound=proof,
-        n1=n1,
-        n2=n2,
-        rank=rank,
-        omega_size=omega_size,
-        psi_u=psi_u,
-        psi_v=psi_v,
-        epsilon=epsilon,
-    )
+    return BoundReport(stated_bound=stated, proof_bound=proof)

@@ -48,7 +48,6 @@ class QueryOracle:
         self._mask = np.zeros(values.shape, dtype=bool)
         self._count = 0
         self._rng = np.random.default_rng(rng_seed)
-        self.rng_seed = rng_seed
         self.log = QueryLog()
 
     @property

@@ -188,14 +188,14 @@ def test_criterion_5_detection_probability_bound():
         inst = generate(cfg)
         psi_u = compute_profile(inst).psi_col_clean
         if k % 2 == 0 or cfg.rank_r + cfg.num_noisy < 2:
-            state = DiscoveryState(pivot_rows=[], pivot_cols=[], rank_estimate=0,
+            state = DiscoveryState(pivot_rows=[], pivot_cols=[],
                                    stale_passes=0, pass_budget=1)
         else:
             full = discover(QueryOracle(inst, rng_seed=97),
                             CompletionParams(epsilon=0.01))
             state = DiscoveryState(pivot_rows=full.pivot_rows[:1],
                                    pivot_cols=full.pivot_cols[:1],
-                                   rank_estimate=1, stale_passes=0,
+                                   stale_passes=0,
                                    pass_budget=full.pass_budget)
         est = estimate_detection_probability(inst, state, probes=probes, seed=100 + k)
         se = math.sqrt(max(est * (1 - est), 0.25 / probes) / probes)

@@ -1,7 +1,8 @@
 """The benchmark's output contract, checked on a short run of every workload,
-untraced and traced: every standard-output line is JSON, so nothing the
-library does prints to stdout, standard error stays empty, and the last line
-is the verdict with every end-to-end metric that BENCHMARK.json declares."""
+untraced and traced: every standard-output line is strict JSON (no NaN or
+Infinity), so nothing the library does prints to stdout, standard error
+stays empty, and the last line is the verdict with every end-to-end metric
+that BENCHMARK.json declares."""
 import json
 import os
 import subprocess
@@ -11,6 +12,11 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def _reject(constant):
+    """Strict JSON has no NaN or Infinity, which json.dumps writes bare."""
+    raise ValueError(f"non-finite constant {constant} in benchmark output")
 
 
 CASES = [
@@ -34,7 +40,7 @@ def test_last_line_is_the_verdict(workload, trace):
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
     lines = done.stdout.splitlines()
-    parsed = [json.loads(line) for line in lines]
+    parsed = [json.loads(line, parse_constant=_reject) for line in lines]
     verdict = parsed[-1]
     assert isinstance(verdict, dict)
     assert verdict["correct"] is True

@@ -15,7 +15,8 @@ Ceilings, with k pivots and S sweeps (`draw_random_rows` calls):
              reads, one cell read per sweep, no entry or block reads, and at
              most S + k (ceil(log2 n2) + 1) solves (the doubling windows)
   identify   at most 1 SVD and 1 block read
-  recover    at most 1 SVD, 1 lstsq and 3 block reads
+  recover    at most 1 SVD, 1 lstsq and 3 block reads; none at all when
+             every pivot row is flagged (precondition-violated)
   generate   at most 3 SVDs per draw attempt (two ranks and the psi check),
              none of an input wider than r + g columns
 A later change may lower a ceiling; raising one is a change of behaviour.
@@ -48,10 +49,12 @@ ORACLE = ("query_entry", "query_row", "query_column", "query_block", "query_cell
 def counted_run(monkeypatch, oracle):
     """run(oracle) with every counted call tallied by phase."""
     counts = {name: Counter() for name in ("run", *PHASES.values())}
+    counts["phases"] = Counter()  # calls of each phase function
     stack = ["run"]
 
     def phase(name, fn):
         def wrapper(*args, **kwargs):
+            counts["phases"][name] += 1
             stack.append(name)
             try:
                 return fn(*args, **kwargs)
@@ -136,6 +139,15 @@ def test_each_decision_once(monkeypatch, make_oracle):
     assert solved["lstsq"] <= 1
     assert solved["query_block"] <= 3
     assert set(solved) <= {"svd", "lstsq", "query_block"}
+
+
+def test_precondition_is_decided_in_recover(monkeypatch):
+    oracle = _precondition_oracle()
+    result, counts = counted_run(monkeypatch, oracle)
+    assert result.status == completion.STATUS_PRECONDITION
+    assert counts["phases"] == Counter(discover=1, identify=1, recover=1)
+    # Every pivot row is flagged, so there is nothing to read or solve.
+    assert counts["recover"] == Counter()
 
 
 def counted_generate(monkeypatch, config):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from noisyrows import cli
 from noisyrows.cli import main
 from noisyrows.instances import load
 from noisyrows.verify import read_trial_stats_csv
@@ -97,6 +98,18 @@ class TestRun:
     def test_zero_psi_is_rejected(self, tmp_path, flag):
         path = make_instance(tmp_path)
         assert main(["run", "--instance", str(path), flag, "0"]) == 1
+
+    @pytest.mark.parametrize("flag", ["--psi-u", "--psi-v"])
+    def test_zero_psi_is_rejected_before_the_run(self, tmp_path, capsys, monkeypatch, flag):
+        path = make_instance(tmp_path)
+        capsys.readouterr()
+        runs = []
+        monkeypatch.setattr(cli, "run_completion", lambda *args: runs.append(args))
+        assert main(["run", "--instance", str(path), flag, "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "sparsity numbers are at least 1" in captured.err
+        assert runs == []
 
 
 class TestTrials:

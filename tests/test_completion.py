@@ -89,7 +89,6 @@ def hand_state(rows, cols):
     return DiscoveryState(
         pivot_rows=list(rows),
         pivot_cols=list(cols),
-        rank_estimate=len(rows),
         stale_passes=0,
         pass_budget=1,
     )
@@ -170,6 +169,34 @@ class TestRecover:
             assert np.isnan(result.recovered[i]).all()
         clean = [i for i in range(6) if i not in result.noisy_rows_hat]
         assert np.isfinite(result.recovered[clean]).all()
+
+    def test_every_pivot_flagged_is_precondition_violated(self):
+        m = np.zeros((5, 4))
+        m[0, :] = [1.0, 2.0, 3.0, 4.0]
+        o = QueryOracle(m, rng_seed=0)
+        state = discover(o, PARAMS)
+        result = recover(o, state, list(state.pivot_rows), PARAMS)
+        assert result.status == STATUS_PRECONDITION
+        assert result.noisy_rows_hat == tuple(state.pivot_rows)
+        expected = np.zeros((5, 4))
+        expected[list(state.pivot_rows), :] = np.nan
+        np.testing.assert_array_equal(result.recovered, expected)
+        assert result.query_count == o.unique_query_count
+
+    def test_degenerate_solve_is_budget_exhausted(self, monkeypatch):
+        def degenerate(*args, **kwargs):
+            raise DegenerateSystemError("forced")
+
+        inst = generate(GeneratorConfig(n1=40, n2=60, rank_r=4, num_noisy=2, seed=11))
+        o = QueryOracle(inst, rng_seed=5)
+        state = discover(o, PARAMS)
+        noisy = identify_noisy_rows(o, state, PARAMS)
+        monkeypatch.setattr(completion, "solve_least_squares", degenerate)
+        result = recover(o, state, noisy, PARAMS)
+        assert result.status == STATUS_BUDGET
+        assert np.isnan(result.recovered).all()
+        assert result.noisy_rows_hat == tuple(noisy)
+        assert result.query_count == o.unique_query_count
 
 
 class TestRun:

@@ -50,7 +50,6 @@ def probe_loop_discover(oracle: QueryOracle, params: CompletionParams) -> Discov
     return DiscoveryState(
         pivot_rows=rows,
         pivot_cols=cols,
-        rank_estimate=len(rows),
         stale_passes=stale,
         pass_budget=budget,
     )
