@@ -264,8 +264,7 @@ def identify_noisy_rows(
     cols = state.pivot_cols
     if not cols:
         return []
-    mask = oracle.observed_mask
-    if not mask[:, cols].all():
+    if not oracle.columns_observed(cols):
         raise RuntimeError("internal contract: pivot columns must be fully observed")
     observed_cols = oracle.query_block(range(oracle.shape[0]), cols)
     flags = unit_vectors_in_colspace(observed_cols, state.pivot_rows, params.tol)
@@ -284,8 +283,9 @@ def recover(
     Solves all non-pivot columns at once against the pivot columns on the
     clean pivot rows: a wide system of full row rank whose minimum-norm
     solution is exact, because the clean pivot rows span the clean row
-    space. The pivot columns on all clean rows times that solution give the
-    other columns. Flagged rows are filled with NaN.
+    space. One thin SVD of that block decides its rank and gives the
+    solution. The pivot columns on all clean rows times that solution give
+    the other columns. Flagged rows are filled with NaN.
 
     With no pivots the observed matrix is zero at tolerance, and the result
     is `ok` with zeros. When every pivot row is flagged, the clean column

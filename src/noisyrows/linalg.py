@@ -2,8 +2,8 @@
 standard-basis membership of a column space, column-basis extraction, and
 exact sparsity numbers of small subspaces.
 
-Rank decisions go through singular values with a relative threshold rather
-than determinants, which overflow or underflow under the repeated
+Rank decisions go through singular values with one relative threshold
+rather than determinants, which overflow or underflow under the repeated
 invertibility tests the completion algorithm performs.
 """
 from __future__ import annotations
@@ -55,18 +55,23 @@ def as_matrix(m, allow_nan: bool = False) -> np.ndarray:
     return a
 
 
+def _above_cut(s: np.ndarray, tol: RankTolerance) -> np.ndarray:
+    """Which singular values `s`, in the descending order the SVD returns
+    them, exceed rel_threshold times the largest.
+
+    Every rank decision in this module goes through this one cut; with no
+    singular values, or only zeros, none is above it.
+    """
+    return s > tol.rel_threshold * (s[0] if s.size else 0.0)
+
+
 def numerical_rank(m, tol: RankTolerance = DEFAULT_TOL) -> int:
     """Count singular values above rel_threshold times the largest one.
 
     The all-zero matrix has rank 0, as does a matrix with an empty dimension.
     """
-    a = as_matrix(m)
-    if a.size == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol.rel_threshold * s[0]))
+    s = np.linalg.svd(as_matrix(m), compute_uv=False)
+    return int(np.count_nonzero(_above_cut(s, tol)))
 
 
 def is_invertible(m, tol: RankTolerance = DEFAULT_TOL) -> bool:
@@ -81,11 +86,14 @@ def solve_least_squares(a, b, tol: RankTolerance = DEFAULT_TOL) -> np.ndarray:
     """Minimum-norm least-squares solution of a @ x = b for a full-rank a.
 
     `b` is one right-hand side (1-D) or one per column (2-D); x has the same
-    number of dimensions. For square invertible a this is the exact
-    solution; for wide a of full row rank it is the exact solution of least
-    norm. A coefficient matrix of rank below min(a.shape) raises
-    DegenerateSystemError instead of returning an approximation, because
-    downstream recovery must not silently proceed from a broken basis.
+    number of dimensions. One thin SVD a = U diag(s) V^T decides the rank,
+    with `numerical_rank`'s cut, and gives x = V diag(1/s) U^T b. For square
+    invertible a this is the exact solution; for wide a of full row rank it
+    is the exact solution of least norm; for tall a of full column rank it
+    is the least-squares solution. A coefficient matrix of rank below
+    min(a.shape) raises DegenerateSystemError instead of returning an
+    approximation, because downstream recovery must not silently proceed
+    from a broken basis.
     """
     a = as_matrix(a)
     rhs = np.asarray(b, dtype=float)
@@ -93,12 +101,12 @@ def solve_least_squares(a, b, tol: RankTolerance = DEFAULT_TOL) -> np.ndarray:
         raise ValueError(f"rhs must be 1-D or 2-D, got ndim={rhs.ndim}")
     if rhs.shape[0] != a.shape[0]:
         raise ValueError(f"rhs length {rhs.shape[0]} does not match {a.shape[0]} rows")
-    if numerical_rank(a, tol) < min(a.shape):
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    if np.count_nonzero(_above_cut(s, tol)) < min(a.shape):
         raise DegenerateSystemError(
             f"coefficient matrix of shape {a.shape} is rank deficient"
         )
-    x, *_ = np.linalg.lstsq(a, rhs, rcond=None)
-    return x
+    return vt.T @ ((u.T @ rhs) / (s if rhs.ndim == 1 else s[:, None]))
 
 
 def unit_vectors_in_colspace(m, rows, tol: RankTolerance = DEFAULT_TOL) -> np.ndarray:
@@ -117,7 +125,7 @@ def unit_vectors_in_colspace(m, rows, tol: RankTolerance = DEFAULT_TOL) -> np.nd
         raise IndexError(f"row indices {rows} are not integers in [0, {a.shape[0]})")
     idx = idx.astype(int)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    u_r = u[:, s > tol.rel_threshold * s.max(initial=0.0)]
+    u_r = u[:, _above_cut(s, tol)]
     flags = np.empty(idx.size, dtype=bool)
     # The residuals of a chunk of rows form one n1 x chunk array, so memory
     # stays O(n1) per chunk however many rows are asked for.

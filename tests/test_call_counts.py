@@ -15,7 +15,7 @@ Ceilings, with k pivots and S sweeps (`draw_random_rows` calls):
              reads, one cell read per sweep, no entry or block reads, and at
              most S + k (ceil(log2 n2) + 1) solves (the doubling windows)
   identify   at most 1 SVD and 1 block read
-  recover    at most 1 SVD, 1 lstsq and 3 block reads; none at all when
+  recover    at most 1 SVD and 3 block reads; none at all when
              every pivot row is flagged (precondition-violated)
   generate   at most 3 SVDs per draw attempt (two ranks and the psi check),
              none of an input wider than r + g columns
@@ -136,9 +136,9 @@ def test_each_decision_once(monkeypatch, make_oracle):
 
     solved = counts["recover"]
     assert solved["svd"] <= 1
-    assert solved["lstsq"] <= 1
+    assert solved["lstsq"] == 0
     assert solved["query_block"] <= 3
-    assert set(solved) <= {"svd", "lstsq", "query_block"}
+    assert set(solved) <= {"svd", "query_block"}
 
 
 def test_precondition_is_decided_in_recover(monkeypatch):

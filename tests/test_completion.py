@@ -130,6 +130,20 @@ class TestIdentifyNoisyRows:
         o = QueryOracle(np.zeros((3, 3)))
         assert identify_noisy_rows(o, hand_state([], []), PARAMS) == []
 
+    def test_observed_check_reveals_nothing(self):
+        o = QueryOracle(np.array([[1.0, 2.0], [2.0, 4.0], [5.0, 7.0]]))
+        o.query_column(0)
+        mask, count = o.observed_mask, o.unique_query_count
+        # Column 1 is unobserved: the check raises and reveals none of it.
+        with pytest.raises(RuntimeError):
+            identify_noisy_rows(o, hand_state([0, 2], [0, 1]), PARAMS)
+        np.testing.assert_array_equal(o.observed_mask, mask)
+        assert o.unique_query_count == count
+        # Column 0 is observed: identification reads it and reveals nothing.
+        identify_noisy_rows(o, hand_state([0], [0]), PARAMS)
+        np.testing.assert_array_equal(o.observed_mask, mask)
+        assert o.unique_query_count == count
+
 
 class TestRecover:
     def test_rank_one_proportionality(self):

@@ -162,6 +162,100 @@ class TestSolveManyRightHandSides:
             solve_least_squares(np.eye(2), np.ones((2, 2, 2)))
 
 
+def with_spectrum(shape, s, rng):
+    """A matrix of the given shape whose singular values are `s`, one per
+    min(shape), between random orthonormal factors drawn from `rng`."""
+    u, _ = np.linalg.qr(rng.standard_normal((shape[0], len(s))))
+    v, _ = np.linalg.qr(rng.standard_normal((shape[1], len(s))))
+    return (u * s) @ v.T
+
+
+def solve_shapes(min_side=1):
+    """Square, tall and wide shapes with min(shape) >= min_side."""
+    sides = st.tuples(st.integers(min_side, 8), st.integers(0, 5))
+    return st.one_of(
+        sides.map(lambda t: (t[0], t[0])),
+        sides.map(lambda t: (t[0] + t[1], t[0])),
+        sides.map(lambda t: (t[0], t[0] + t[1])),
+    )
+
+
+_EPS = np.finfo(float).eps
+
+
+class TestSolveThroughOneSvd:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        shape=solve_shapes(),
+        log_kappa=st.floats(0, 7),
+        log_scale=st.floats(-50, 50),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_lstsq_to_conditioned_rounding(self, shape, log_kappa, log_scale, seed):
+        s = 10.0 ** (log_scale - np.linspace(0, log_kappa, min(shape)))
+        kappa = s[0] / s[-1]
+        rng = np.random.default_rng(seed)
+        a = with_spectrum(shape, s, rng)
+        # b lies in the range of a for every shape, so the solution's
+        # sensitivity is kappa, also for tall a.
+        b = a @ rng.standard_normal((shape[1], 3))
+        ref, *_ = np.linalg.lstsq(a, b, rcond=None)
+        bound = 50 * max(shape) * kappa * _EPS * np.linalg.norm(ref, axis=0)
+        x = solve_least_squares(a, b)
+        assert np.all(np.linalg.norm(x - ref, axis=0) <= bound)
+        x0 = solve_least_squares(a, b[:, 0])
+        assert np.linalg.norm(x0 - ref[:, 0]) <= bound[0]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_inconsistent_tall_meets_normal_equations(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 7))
+        shape = (n + int(rng.integers(1, 6)), n)
+        s = np.geomspace(1.0, 10.0 ** -rng.uniform(0, 4), n)
+        kappa = s[0] / s[-1]
+        a = with_spectrum(shape, s, rng)
+        # A unit residual orthogonal to the range of a: no x solves a x = b.
+        # Projecting twice keeps w orthogonal even when the draw lies close
+        # to the range.
+        q, _ = np.linalg.qr(a)
+        w = rng.standard_normal(shape[0])
+        for _ in range(2):
+            w -= q @ (q.T @ w)
+        w /= np.linalg.norm(w)
+        b = a @ rng.standard_normal(n) + w
+        x = solve_least_squares(a, b)
+        r = b - a @ x
+        assert np.linalg.norm(r) >= 0.5
+        norm_a = np.linalg.norm(a, 2)
+        scale = norm_a * (norm_a * np.linalg.norm(x) + np.linalg.norm(b))
+        bound = 50 * max(shape) * kappa * _EPS * scale
+        assert np.linalg.norm(a.T @ r) <= bound
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        shape=solve_shapes(min_side=2),
+        ratio=st.one_of(st.floats(1e-2, 1 - 1e-3), st.floats(1 + 1e-3, 1e2)),
+        rel=st.sampled_from([1e-9, 1e-6, 1e-3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_raises_exactly_below_the_cut(self, shape, ratio, rel, seed):
+        # sigma_max is 1, the others lie in [0.1, 1] except sigma_min, which
+        # is ratio times the cut: at least 1e-3 relative away from it.
+        tol = RankTolerance(rel)
+        k = min(shape)
+        rng = np.random.default_rng(seed)
+        s = np.concatenate([[1.0], rng.uniform(0.1, 1.0, k - 2), [rel * ratio]])
+        a = with_spectrum(shape, s, rng)
+        deficient = numerical_rank(a, tol) < k
+        assert deficient == (ratio < 1)
+        try:
+            solve_least_squares(a, np.ones(shape[0]), tol)
+        except DegenerateSystemError:
+            assert deficient
+        else:
+            assert not deficient
+
+
 class TestEiInColspace:
     def test_combination_reaches_e3(self):
         # (2/3, -1/3) combines the columns into (0, 0, 1)
