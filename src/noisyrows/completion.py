@@ -5,9 +5,11 @@ Phase 1 (discovery) grows index sets of rows and columns whose induced square
 submatrix stays invertible, certifying one unit of rank per acceptance: each
 sweep probes one random entry per unclaimed column, and a probe is accepted
 when the bordered square submatrix passes the invertibility test. The pivot
-rows and columns are kept as the oracle returns them, so no probe re-reads
-its block. A residual bound, sigma_min of the bordered block against its
-largest entry, rejects almost every probe without an SVD, and only where it
+rows and columns are kept as the oracle returns them, in buffers each
+acceptance grows in place, so no probe re-reads its block. A residual bound,
+sigma_min of the bordered block against its largest entry, rejects almost
+every probe without an SVD: it multiplies the probes' pivot-row entries by
+an inverse of the pivot block, taken once per acceptance. Only where it
 cannot reject does the invertibility test run, on the block assembled from
 those pivots; the bound rejects nothing that test would accept. A pass
 budget of consecutive unproductive sweeps decides when the rank is complete.
@@ -130,7 +132,8 @@ def _result(
 
 class _Pivots:
     """The pivot rows P = N[R, :] and columns Q = N[:, C] as the oracle
-    returned them, and the test that decides a probe against them.
+    returned them, grown in place by each acceptance, and the test that
+    decides a probe against them.
 
     A probe (i, j) with value v borders the pivot block A = P[:, C] into
     B = [[A, P[:, j]], [Q[i], v]]. With w = A^-1 P[:, j] and z = [-w; 1],
@@ -138,60 +141,88 @@ class _Pivots:
     ||Bz|| = hypot(||P[:, j] - A w||, v - Q[i] w). Since
     sigma_max(B) >= max|B|, a bound at most
     max|B| (rel_threshold - 4 (k+1)^2 eps) fails the invertibility test;
-    the last term leaves room for the rounding of that test's SVD.
+    the last term leaves room for the rounding of that test's SVD. So w
+    may come from an inverse of A, taken once per acceptance, rather than
+    from a solve per probe: its rounding moves the bound, never its
+    soundness.
     """
 
-    def __init__(self, p: np.ndarray, q: np.ndarray, pivot_rows, pivot_cols,
-                 tol: RankTolerance):
-        k = len(pivot_cols)
-        self._p, self._q, self._tol = p, q, tol
-        self._a = p[:, pivot_cols]
-        self._abs_a = np.abs(self._a)
+    def __init__(self, n1: int, n2: int, tol: RankTolerance):
+        self.rows: list[int] = []
+        self.cols: list[int] = []
+        self._tol = tol
+        # Row t of _p is N[rows[t], :] and row t of _q is N[:, cols[t]]; the
+        # capacity of both doubles whenever an acceptance fills it.
+        self._p, self._q = np.empty((1, n2)), np.empty((1, n1))
+        self._on_pivot_row = np.zeros(n1, dtype=bool)
+        self._set_block(np.empty((0, 0)), np.empty((0, 0)))
+
+    def _set_block(self, a: np.ndarray, a_inv: np.ndarray) -> None:
+        k = a.shape[0]
+        self._a, self._a_inv = a, a_inv
+        self._abs_a = np.abs(a)
         self._a_max = self._abs_a.max(initial=0.0)
-        self._on_pivot_row = np.zeros(q.shape[0], dtype=bool)
-        self._on_pivot_row[pivot_rows] = True
         # Evaluating Bz with k-term dot products errs by at most
         # 2 (k+2) eps times the magnitudes summed; the factor after the
         # threshold covers the rounding of ||z|| and of the product.
         self._rounding = 2 * (k + 2) * _EPS
-        self._level = (tol.rel_threshold - 4 * (k + 1) ** 2 * _EPS) * (1 - 2 * (k + 3) * _EPS)
+        self._level = (self._tol.rel_threshold - 4 * (k + 1) ** 2 * _EPS) * (1 - 2 * (k + 3) * _EPS)
+
+    def accept(self, i: int, j: int, v: float, row: np.ndarray, col: np.ndarray) -> None:
+        """Make the probe (i, j) with value v a pivot, given its full row
+        N[i, :] and column N[:, j]: the bordered block becomes A."""
+        a = self.block(i, j, v)
+        k = len(self.rows)
+        if k == self._p.shape[0]:
+            self._p = np.vstack([self._p, np.empty_like(self._p)])
+            self._q = np.vstack([self._q, np.empty_like(self._q)])
+        self._p[k], self._q[k] = row, col
+        self.rows.append(i)
+        self.cols.append(j)
+        self._on_pivot_row[i] = True
+        self._set_block(a, np.linalg.inv(a))
 
     def rejects(self, i: np.ndarray, j: np.ndarray, v: np.ndarray) -> np.ndarray:
         """For each probe (i[t], j[t]) with value v[t], whether the residual
         bound shows that the bordered block fails `is_invertible`. A bound
         that overflows or is NaN rejects nothing."""
-        p, q = self._p[:, j], self._q[i]
-        w = np.linalg.solve(self._a, p) if self._a.size else p
+        k = len(self.rows)
+        p, q = self._p[:k, j], self._q[:k, i]  # P[:, j] and Q[i]^T
+        abs_p = np.abs(p)
         # hypot sums squares without overflow or underflow.
         with np.errstate(over="ignore", invalid="ignore"):
+            w = self._a_inv @ p
             top = np.hypot.reduce(p - self._a @ w, axis=0)
-            top_scale = np.hypot.reduce(np.abs(p) + self._abs_a @ np.abs(w), axis=0)
-            bottom = v - (q * w.T).sum(axis=1)
-            bottom_scale = np.abs(v) + (np.abs(q) * np.abs(w.T)).sum(axis=1)
+            top_scale = np.hypot.reduce(abs_p + self._abs_a @ np.abs(w), axis=0)
+            bottom = v - (q * w).sum(axis=0)
+            bottom_scale = np.abs(v) + (np.abs(q) * np.abs(w)).sum(axis=0)
             bound = np.hypot(top, bottom) + self._rounding * (top_scale + bottom_scale)
-        z = np.hypot(1.0, np.hypot.reduce(w, axis=0))
-        max_b = np.maximum(
-            np.maximum(np.abs(p).max(axis=0, initial=0.0), np.abs(q).max(axis=1, initial=0.0)),
-            np.maximum(np.abs(v), self._a_max),
-        )
-        return np.isfinite(bound) & (bound <= z * max_b * self._level)
+            z = np.hypot(1.0, np.hypot.reduce(w, axis=0))
+            max_b = np.maximum(
+                np.maximum(abs_p.max(axis=0, initial=0.0), np.abs(q).max(axis=0, initial=0.0)),
+                np.maximum(np.abs(v), self._a_max),
+            )
+            return np.isfinite(bound) & (bound <= z * max_b * self._level)
 
     def block(self, i: int, j: int, v: float) -> np.ndarray:
         """B = N[R + [i], C + [j]], assembled from the cached pivots."""
-        k = self._a.shape[0]
+        k = len(self.rows)
         b = np.empty((k + 1, k + 1))
         b[:k, :k] = self._a
-        b[:k, k] = self._p[:, j]
-        b[k, :k] = self._q[i]
+        b[:k, k] = self._p[:k, j]
+        b[k, :k] = self._q[:k, i]
         b[k, k] = v
         return b
 
     def first_accepted(self, i: np.ndarray, j: np.ndarray, v: np.ndarray) -> int | None:
         """Position of the first probe whose bordered block passes
         `is_invertible`, or None. A probe on a pivot row cannot border the
-        block into a square one; the residual bound rejects most others, and
-        the rest get the full test."""
+        block into a square one, so a window of only such probes accepts
+        nothing; the residual bound rejects most others, and the rest get
+        the full test."""
         open_ = np.flatnonzero(~self._on_pivot_row[i])
+        if not open_.size:
+            return None
         open_ = open_[~self.rejects(i[open_], j[open_], v[open_])]
         for t in open_:
             if is_invertible(self.block(i[t], j[t], v[t]), self._tol):
@@ -206,15 +237,12 @@ def discover(oracle: QueryOracle, params: CompletionParams) -> DiscoveryState:
     random row per column in one call, reveals those cells in one read, and
     tests in turn whether bordering the current pivot submatrix with each
     (row, column) pair keeps it invertible. Acceptance queries the full row
-    and column, resets the stale-pass counter and decides the rest of the
-    sweep against the grown pivots.
+    and column, grows the pivots by them, resets the stale-pass counter and
+    decides the rest of the sweep against the grown pivots.
     """
     n1, n2 = oracle.shape
     budget = compute_eta(n1, n2, params.epsilon)
-    rows: list[int] = []
-    cols: list[int] = []
-    p, q = np.empty((0, n2)), np.empty((n1, 0))  # N[rows, :] and N[:, cols]
-    pivots = _Pivots(p, q, rows, cols, params.tol)
+    pivots = _Pivots(n1, n2, params.tol)
     unclaimed = np.ones(n2, dtype=bool)
     stale = 0
     while stale < budget:
@@ -235,18 +263,17 @@ def discover(oracle: QueryOracle, params: CompletionParams) -> DiscoveryState:
             if t is None:
                 start, width = stop, 2 * width
                 continue
-            i, j = int(probe_rows[start + t]), int(probe_cols[start + t])
-            q = np.column_stack([q, oracle.query_column(j)])
-            p = np.vstack([p, oracle.query_row(i)])
-            rows.append(i)
-            cols.append(j)
+            t += start
+            i, j = int(probe_rows[t]), int(probe_cols[t])
+            col = oracle.query_column(j)
+            row = oracle.query_row(i)
+            pivots.accept(i, j, values[t], row, col)
             unclaimed[j] = False
-            pivots = _Pivots(p, q, rows, cols, params.tol)
             stale = 0
-            start, width = start + t + 1, 1
+            start, width = t + 1, 1
     return DiscoveryState(
-        pivot_rows=rows,
-        pivot_cols=cols,
+        pivot_rows=pivots.rows,
+        pivot_cols=pivots.cols,
         stale_passes=stale,
         pass_budget=budget,
     )

@@ -5,23 +5,25 @@ time: a change that brought back a re-check, one SVD per probe or a per-cell
 read loop fails here whatever the machine's speed. The wrappers are
 installed by monkeypatching, as the benchmark's tracer does: the three phase
 functions as `run` calls them mark the phase, and every `np.linalg` SVD,
-least-squares and solve call and every `QueryOracle` read or draw is counted
-against the phase it happens in. Anything in `run` outside the three phases
-counts under "run".
+least-squares, solve and inverse call, every `is_invertible` and
+`unit_vectors_in_colspace` call as `completion` makes it, and every
+`QueryOracle` read or draw is counted against the phase it happens in.
+Anything in `run` outside the three phases counts under "run".
 
 Ceilings, with k pivots and S sweeps (`draw_random_rows` calls):
-  run        no SVD, solve or oracle call at all
-  discover   at most k SVDs (one per acceptance), exactly k row and k column
-             reads, one cell read per sweep, no entry or block reads, and at
-             most S + k (ceil(log2 n2) + 1) solves (the doubling windows)
-  identify   at most 1 SVD and 1 block read
-  recover    at most 1 SVD and 3 block reads; none at all when
-             every pivot row is flagged (precondition-violated)
+  run        no SVD, solve, inverse, decision or oracle call at all
+  discover   at most k invertibility tests and k SVDs (one per acceptance),
+             at most k inverses (one per acceptance), no solve, exactly k
+             row and k column reads, one cell read per sweep, and no entry
+             or block reads
+  identify   exactly 1 unit-vector decision, at most 1 SVD and 1 block read,
+             and no inverse
+  recover    at most 1 SVD and 3 block reads and no inverse; none at all
+             when every pivot row is flagged (precondition-violated)
   generate   at most 3 SVDs per draw attempt (two ranks and the psi check),
              none of an input wider than r + g columns
 A later change may lower a ceiling; raising one is a change of behaviour.
 """
-import math
 from collections import Counter
 
 import numpy as np
@@ -41,7 +43,8 @@ from test_completion import PINNED_RUNS
 PARAMS = CompletionParams(epsilon=0.1)
 
 PHASES = {"discover": "discover", "identify_noisy_rows": "identify", "recover": "recover"}
-LINALG = ("svd", "lstsq", "solve")
+LINALG = ("svd", "lstsq", "solve", "inv")
+DECISIONS = ("is_invertible", "unit_vectors_in_colspace")
 ORACLE = ("query_entry", "query_row", "query_column", "query_block", "query_cells",
           "draw_random_rows")
 
@@ -73,6 +76,8 @@ def counted_run(monkeypatch, oracle):
             mp.setattr(completion, attr, phase(name, getattr(completion, attr)))
         for name in LINALG:
             mp.setattr(np.linalg, name, counter(name, getattr(np.linalg, name)))
+        for name in DECISIONS:
+            mp.setattr(completion, name, counter(name, getattr(completion, name)))
         for name in ORACLE:
             mp.setattr(QueryOracle, name, counter(name, getattr(QueryOracle, name)))
         result = completion.run(oracle, PARAMS)
@@ -113,30 +118,35 @@ def test_each_decision_once(monkeypatch, make_oracle):
     oracle = make_oracle()
     result, counts = counted_run(monkeypatch, oracle)
     k = len(result.pivot_cols)
-    n2 = oracle.shape[1]
     assert k > 0
 
     assert counts["run"] == Counter()
 
     found = counts["discover"]
     sweeps = found["draw_random_rows"]
+    assert found["is_invertible"] <= k
     assert found["svd"] <= k
+    assert found["inv"] <= k
+    assert found["solve"] == 0
+    assert found["unit_vectors_in_colspace"] == 0
     assert found["query_row"] == k
     assert found["query_column"] == k
     assert found["query_cells"] == sweeps
     assert found["query_entry"] == 0
     assert found["query_block"] == 0
     assert found["lstsq"] == 0
-    assert found["solve"] <= sweeps + k * (math.ceil(math.log2(n2)) + 1)
 
     flagged = counts["identify"]
+    assert flagged["unit_vectors_in_colspace"] == 1
     assert flagged["svd"] <= 1
     assert flagged["query_block"] <= 1
-    assert set(flagged) <= {"svd", "query_block"}
+    assert flagged["inv"] == 0
+    assert set(flagged) <= {"unit_vectors_in_colspace", "svd", "query_block"}
 
     solved = counts["recover"]
     assert solved["svd"] <= 1
     assert solved["lstsq"] == 0
+    assert solved["inv"] == 0
     assert solved["query_block"] <= 3
     assert set(solved) <= {"svd", "query_block"}
 

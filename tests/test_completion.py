@@ -380,6 +380,28 @@ class TestOutputContract:
         assert result.query_count == oracle.unique_query_count
 
 
+class TestScaleEquivariance:
+    """Scaling N by a power of two is exact in floating point, and every
+    decision compares quantities that scale alike, so the run is the same
+    and the recovery scales exactly."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    @pytest.mark.parametrize("mode", ["gaussian", "sparse-basis"])
+    def test_power_of_two_scaling(self, mode, seed):
+        extra = dict(target_psi=5) if mode == "sparse-basis" else {}
+        inst = generate(GeneratorConfig(n1=40, n2=30, rank_r=4, num_noisy=2, mode=mode,
+                                        seed=600 + seed, **extra))
+        base = run(QueryOracle(inst.n_observed, rng_seed=seed), PARAMS)
+        for e in (-60, -7, 3, 45, 60):
+            scale = 2.0**e
+            scaled = run(QueryOracle(inst.n_observed * scale, rng_seed=seed), PARAMS)
+            assert (scaled.status, scaled.noisy_rows_hat, scaled.pivot_rows,
+                    scaled.pivot_cols, scaled.query_count) == (
+                base.status, base.noisy_rows_hat, base.pivot_rows,
+                base.pivot_cols, base.query_count)
+            np.testing.assert_array_equal(scaled.recovered, base.recovered * scale)
+
+
 class TestQueryBudget:
     def test_discovery_terms_example(self):
         report = query_budget(100, 10, 2, 2, 50, 1, 0.1)

@@ -1,7 +1,8 @@
 """Discovery decides probes from its cached pivots: a residual bound rejects
 most of them, and the rest get the full invertibility test. These tests pin
-that the bound never rejects a block the full test accepts, and that
-discovery makes exactly the decisions of the per-probe loop it replaced."""
+that the bound never rejects a block the full test accepts, that the inverse
+it multiplies by is accurate, and that discovery makes exactly the decisions
+of the per-probe loop it replaced."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,8 @@ from noisyrows.completion import (
 from noisyrows.instances import GeneratorConfig, generate
 from noisyrows.linalg import RankTolerance, is_invertible
 from noisyrows.oracle import QueryOracle
+from test_call_counts import WORKLOAD_CASES
+from test_completion import PINNED_RUNS
 
 PARAMS = CompletionParams(epsilon=0.1)
 
@@ -104,7 +107,10 @@ def _pivots_of(block: np.ndarray, tol: RankTolerance) -> _Pivots:
     """The cache discovery holds when the leading k x k of `block` is the
     pivot block and its last row and column are a probe's."""
     k = block.shape[0] - 1
-    return _Pivots(block[:k, :], block[:, :k], range(k), range(k), tol)
+    pivots = _Pivots(k + 1, k + 1, tol)
+    for t in range(k):
+        pivots.accept(t, t, block[t, t], block[t, :], block[:, t])
+    return pivots
 
 
 @settings(max_examples=600, deadline=None)
@@ -144,6 +150,8 @@ def test_filter_never_rejects_an_invertible_block(
         assert not is_invertible(block, tol)
 
 
+# A warning here would reach the benchmark's stderr, which must stay empty.
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "block",
     [
@@ -166,6 +174,35 @@ def test_non_finite_bound_falls_through(block):
 def test_block_is_the_bordered_submatrix():
     n = np.arange(30.0).reshape(5, 6) ** 1.5
     rows, cols = [3, 0], [4, 1]
-    pivots = _Pivots(n[rows, :], n[:, cols], rows, cols, RankTolerance())
+    pivots = _Pivots(*n.shape, RankTolerance())
+    for i, j in zip(rows, cols):
+        pivots.accept(i, j, n[i, j], n[i, :], n[:, j])
     np.testing.assert_array_equal(pivots.block(2, 5, n[2, 5]),
                                   n[np.ix_(rows + [2], cols + [5])])
+
+
+@pytest.mark.parametrize(
+    "config, oracle_seed",
+    [pytest.param(config, seed, id=f"pinned-{k}")
+     for k, (config, seed, _) in enumerate(PINNED_RUNS)]
+    + [pytest.param(config, seed, id=name) for name, config, seed in WORKLOAD_CASES],
+)
+def test_inverse_is_accurate(monkeypatch, config, oracle_seed):
+    # The filter is sound whatever rounding its inverse carries, but a
+    # drifting inverse would reject less; after every acceptance the inverse
+    # must be as accurate as one inversion of the pivot block can be.
+    eps = np.finfo(float).eps
+    ratios = []
+    accept = _Pivots.accept
+
+    def checked(pivots, *args):
+        accept(pivots, *args)
+        a, a_inv = pivots._a, pivots._a_inv
+        k = a.shape[0]
+        error = np.linalg.norm(a_inv @ a - np.eye(k), 2)
+        ratios.append(error / (k * np.linalg.cond(a) * eps))
+
+    monkeypatch.setattr(_Pivots, "accept", checked)
+    state = discover(QueryOracle(generate(GeneratorConfig(**config)), oracle_seed), PARAMS)
+    assert len(ratios) == state.rank_estimate > 0
+    assert max(ratios) <= 1.0
