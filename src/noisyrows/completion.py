@@ -14,12 +14,13 @@ cannot reject does the invertibility test run, on the block assembled from
 those pivots; the bound rejects nothing that test would accept. A pass
 budget of consecutive unproductive sweeps decides when the rank is complete.
 
-Phase 2 (identification) flags the discovered rows i whose standard basis
-vector e_i lies in the column space of the fully observed pivot columns,
-that is, whose deletion drops their rank. A corrupted row is linearly
-independent of everything else, so the pivot columns isolate it; a clean
-row can only mimic that signature when the clean column space contains a
-standard basis vector, which the precondition excludes.
+Phases 2 and 3 work from the pivot rows and columns discovery revealed,
+and read no cell. Phase 2 (identification) flags the discovered rows i
+whose standard basis vector e_i lies in the column space of the pivot
+columns, that is, whose deletion drops their rank. A corrupted row is
+linearly independent of everything else, so the pivot columns isolate it; a
+clean row can only mimic that signature when the clean column space
+contains a standard basis vector, which the precondition excludes.
 
 Phase 3 (recovery) solves every remaining column against the pivot columns
 on the surviving clean pivot rows in one minimum-norm solve, exact because
@@ -67,12 +68,16 @@ class CompletionParams:
 
 @dataclass
 class DiscoveryState:
-    """Index sets and counters carried across discovery sweeps."""
+    """Index sets and counters carried across discovery sweeps, and the
+    cells discovery revealed: the pivot rows N[R, :] (k x n2) and columns
+    N[:, C] (n1 x k). Equality and repr are about the decisions only."""
 
     pivot_rows: list[int]
     pivot_cols: list[int]
     stale_passes: int
     pass_budget: int
+    row_values: np.ndarray | None = field(default=None, compare=False, repr=False)
+    col_values: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def rank_estimate(self) -> int:
@@ -151,9 +156,9 @@ class _Pivots:
         self.rows: list[int] = []
         self.cols: list[int] = []
         self._tol = tol
-        # Row t of _p is N[rows[t], :] and row t of _q is N[:, cols[t]]; the
+        # Row t of p is N[rows[t], :] and row t of q is N[:, cols[t]]; the
         # capacity of both doubles whenever an acceptance fills it.
-        self._p, self._q = np.empty((1, n2)), np.empty((1, n1))
+        self.p, self.q = np.empty((1, n2)), np.empty((1, n1))
         self._on_pivot_row = np.zeros(n1, dtype=bool)
         self._set_block(np.empty((0, 0)), np.empty((0, 0)))
 
@@ -173,10 +178,10 @@ class _Pivots:
         N[i, :] and column N[:, j]: the bordered block becomes A."""
         a = self.block(i, j, v)
         k = len(self.rows)
-        if k == self._p.shape[0]:
-            self._p = np.vstack([self._p, np.empty_like(self._p)])
-            self._q = np.vstack([self._q, np.empty_like(self._q)])
-        self._p[k], self._q[k] = row, col
+        if k == self.p.shape[0]:
+            self.p = np.vstack([self.p, np.empty_like(self.p)])
+            self.q = np.vstack([self.q, np.empty_like(self.q)])
+        self.p[k], self.q[k] = row, col
         self.rows.append(i)
         self.cols.append(j)
         self._on_pivot_row[i] = True
@@ -187,7 +192,7 @@ class _Pivots:
         bound shows that the bordered block fails `is_invertible`. A bound
         that overflows or is NaN rejects nothing."""
         k = len(self.rows)
-        p, q = self._p[:k, j], self._q[:k, i]  # P[:, j] and Q[i]^T
+        p, q = self.p[:k, j], self.q[:k, i]  # P[:, j] and Q[i]^T
         abs_p = np.abs(p)
         # hypot sums squares without overflow or underflow.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -209,8 +214,8 @@ class _Pivots:
         k = len(self.rows)
         b = np.empty((k + 1, k + 1))
         b[:k, :k] = self._a
-        b[:k, k] = self._p[:k, j]
-        b[k, :k] = self._q[:k, i]
+        b[:k, k] = self.p[:k, j]
+        b[k, :k] = self.q[:k, i]
         b[k, k] = v
         return b
 
@@ -271,30 +276,22 @@ def discover(oracle: QueryOracle, params: CompletionParams) -> DiscoveryState:
             unclaimed[j] = False
             stale = 0
             start, width = t + 1, 1
+    k = len(pivots.rows)
     return DiscoveryState(
         pivot_rows=pivots.rows,
         pivot_cols=pivots.cols,
         stale_passes=stale,
         pass_budget=budget,
+        row_values=pivots.p[:k],
+        col_values=pivots.q[:k].T,
     )
 
 
-def identify_noisy_rows(
-    oracle: QueryOracle, state: DiscoveryState, params: CompletionParams
-) -> list[int]:
+def identify_noisy_rows(state: DiscoveryState, params: CompletionParams) -> list[int]:
     """Flag the discovered rows i whose e_i lies in the column space of the
-    pivot columns, i.e. whose deletion drops the rank of those columns.
-
-    Works entirely on the fully observed pivot columns; no new cells are
-    revealed. Raises if discovery did not leave those columns fully observed.
-    """
-    cols = state.pivot_cols
-    if not cols:
-        return []
-    if not oracle.columns_observed(cols):
-        raise RuntimeError("internal contract: pivot columns must be fully observed")
-    observed_cols = oracle.query_block(range(oracle.shape[0]), cols)
-    flags = unit_vectors_in_colspace(observed_cols, state.pivot_rows, params.tol)
+    pivot columns N[:, C] that discovery revealed, i.e. whose deletion drops
+    their rank. Reads no cell."""
+    flags = unit_vectors_in_colspace(state.col_values, state.pivot_rows, params.tol)
     return sorted(i for i, flagged in zip(state.pivot_rows, flags) if flagged)
 
 
@@ -312,7 +309,9 @@ def recover(
     solution is exact, because the clean pivot rows span the clean row
     space. One thin SVD of that block decides its rank and gives the
     solution. The pivot columns on all clean rows times that solution give
-    the other columns. Flagged rows are filled with NaN.
+    the other columns. Flagged rows are filled with NaN. All of it comes
+    from the pivot rows N[R, :] and columns N[:, C] discovery revealed; the
+    oracle gives only the shape and the query count.
 
     With no pivots the observed matrix is zero at tolerance, and the result
     is `ok` with zeros. When every pivot row is flagged, the clean column
@@ -327,7 +326,8 @@ def recover(
     """
     n1, n2 = oracle.shape
     flagged = set(noisy_rows)
-    clean_pivots = [i for i in state.pivot_rows if i not in flagged]
+    # Positions in R of the clean pivot rows.
+    clean_pivots = [t for t, i in enumerate(state.pivot_rows) if i not in flagged]
     if not clean_pivots:
         status = STATUS_PRECONDITION if state.pivot_rows else STATUS_OK
         return _result(oracle, state, noisy_rows, status, np.zeros((n1, n2)))
@@ -336,13 +336,13 @@ def recover(
     claimed = set(pivot_cols)
     others = [j for j in range(n2) if j not in claimed]
 
-    basis = oracle.query_block(clean_pivots, pivot_cols)
-    rhs = oracle.query_block(clean_pivots, others)
+    basis = state.row_values[np.ix_(clean_pivots, pivot_cols)]
+    rhs = state.row_values[np.ix_(clean_pivots, others)]
     try:
         coeffs = solve_least_squares(basis, rhs, params.tol)
     except DegenerateSystemError:
         return _result(oracle, state, noisy_rows, STATUS_BUDGET)
-    on_pivot_cols = oracle.query_block(clean_all, pivot_cols)
+    on_pivot_cols = state.col_values[clean_all]
     recovered = np.full((n1, n2), np.nan)
     recovered[np.ix_(clean_all, pivot_cols)] = on_pivot_cols
     recovered[np.ix_(clean_all, others)] = on_pivot_cols @ coeffs
@@ -359,7 +359,7 @@ def run(oracle: QueryOracle, params: CompletionParams | None = None) -> Completi
     if params is None:
         params = CompletionParams()
     state = discover(oracle, params)
-    noisy = identify_noisy_rows(oracle, state, params)
+    noisy = identify_noisy_rows(state, params)
     return recover(oracle, state, noisy, params)
 
 

@@ -62,11 +62,6 @@ class QueryOracle:
     def observed_mask(self) -> np.ndarray:
         return self._mask.copy()
 
-    def columns_observed(self, cols) -> bool:
-        """Whether every cell of the columns `cols` has been revealed. Reads
-        only those columns of the mask and reveals nothing."""
-        return bool(self._mask[:, self._check_all(cols, 1)].all())
-
     def _check(self, i: int, axis: int) -> None:
         # numpy reads a bool index as a mask, so True must not pass as 1.
         n = self._values.shape[axis]

@@ -92,7 +92,7 @@ def test_criterion_2_identification_oracle_equivalence():
         inst = generate(cfg)
         oracle = QueryOracle(inst, rng_seed=t)
         state = discover(oracle, params)
-        flagged = identify_noisy_rows(oracle, state, params)
+        flagged = identify_noisy_rows(state, params)
         reference = [
             i for i in oracle_noisy_rows(inst.n_observed) if i in state.pivot_rows
         ]

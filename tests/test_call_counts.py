@@ -7,18 +7,20 @@ installed by monkeypatching, as the benchmark's tracer does: the three phase
 functions as `run` calls them mark the phase, and every `np.linalg` SVD,
 least-squares, solve and inverse call, every `is_invertible` and
 `unit_vectors_in_colspace` call as `completion` makes it, and every
-`QueryOracle` read or draw is counted against the phase it happens in.
-Anything in `run` outside the three phases counts under "run".
+`QueryOracle` read or draw is counted against the phase it happens in, with
+the cells each read is passed (repeats included) and the rows each draw
+makes. Anything in `run` outside the three phases counts under "run".
 
-Ceilings, with k pivots and S sweeps (`draw_random_rows` calls):
+Ceilings, with k pivots of an n1 x n2 matrix and S sweeps
+(`draw_random_rows` calls) of P probes in all:
   run        no SVD, solve, inverse, decision or oracle call at all
   discover   at most k invertibility tests and k SVDs (one per acceptance),
              at most k inverses (one per acceptance), no solve, exactly k
-             row and k column reads, one cell read per sweep, and no entry
-             or block reads
-  identify   exactly 1 unit-vector decision, at most 1 SVD and 1 block read,
-             and no inverse
-  recover    at most 1 SVD and 3 block reads and no inverse; none at all
+             row and k column reads, one cell read per sweep, no entry or
+             block reads, and exactly k (n1 + n2) + P cells read
+  identify   exactly 1 unit-vector decision, at most 1 SVD, no inverse and
+             no oracle call
+  recover    at most 1 SVD, no inverse and no oracle call; no SVD either
              when every pivot row is flagged (precondition-violated)
   generate   at most 3 SVDs per draw attempt (two ranks and the psi check),
              none of an input wider than r + g columns
@@ -45,8 +47,14 @@ PARAMS = CompletionParams(epsilon=0.1)
 PHASES = {"discover": "discover", "identify_noisy_rows": "identify", "recover": "recover"}
 LINALG = ("svd", "lstsq", "solve", "inv")
 DECISIONS = ("is_invertible", "unit_vectors_in_colspace")
-ORACLE = ("query_entry", "query_row", "query_column", "query_block", "query_cells",
-          "draw_random_rows")
+# Cells passed to each oracle read, from its arguments after `self`.
+READS = {
+    "query_entry": lambda o, i, j: 1,
+    "query_row": lambda o, i: o.shape[1],
+    "query_column": lambda o, j: o.shape[0],
+    "query_block": lambda o, rows, cols: len(rows) * len(cols),
+    "query_cells": lambda o, rows, cols: len(rows),
+}
 
 
 def counted_run(monkeypatch, oracle):
@@ -65,9 +73,12 @@ def counted_run(monkeypatch, oracle):
                 stack.pop()
         return wrapper
 
-    def counter(name, fn):
+    def counter(name, fn, key=None, amount=None):
+        """fn, counted by calls and, under `key`, by amount(*args)."""
         def wrapper(*args, **kwargs):
             counts[stack[-1]][name] += 1
+            if key:
+                counts[stack[-1]][key] += amount(*args, **kwargs)
             return fn(*args, **kwargs)
         return wrapper
 
@@ -78,20 +89,24 @@ def counted_run(monkeypatch, oracle):
             mp.setattr(np.linalg, name, counter(name, getattr(np.linalg, name)))
         for name in DECISIONS:
             mp.setattr(completion, name, counter(name, getattr(completion, name)))
-        for name in ORACLE:
-            mp.setattr(QueryOracle, name, counter(name, getattr(QueryOracle, name)))
+        for name, cells in READS.items():
+            mp.setattr(QueryOracle, name,
+                       counter(name, getattr(QueryOracle, name), "cells", cells))
+        mp.setattr(QueryOracle, "draw_random_rows",
+                   counter("draw_random_rows", QueryOracle.draw_random_rows, "probes",
+                           lambda o, size: size))
         result = completion.run(oracle, PARAMS)
     return result, counts
 
 
-def _instance_oracle(config, oracle_seed):
-    return lambda: QueryOracle(generate(GeneratorConfig(**config)), rng_seed=oracle_seed)
+def _instance_matrix(config):
+    return lambda: generate(GeneratorConfig(**config)).n_observed
 
 
-def _precondition_oracle():
+def precondition_matrix():
     m = np.zeros((5, 4))
     m[0, :] = [1.0, 2.0, 3.0, 4.0]
-    return QueryOracle(m, rng_seed=0)
+    return m
 
 
 # One case per benchmark workload, at that workload's first seed (101).
@@ -104,20 +119,22 @@ WORKLOAD_CASES = [
                            target_psi=5, seed=10100001), 10150001),
 ]
 
+# (observed-matrix factory, oracle seed) of each case.
 CASES = (
-    [pytest.param(_instance_oracle(config, seed), id=f"pinned-{k}")
+    [pytest.param(_instance_matrix(config), seed, id=f"pinned-{k}")
      for k, (config, seed, _) in enumerate(PINNED_RUNS)]
-    + [pytest.param(_precondition_oracle, id="precondition")]
-    + [pytest.param(_instance_oracle(config, seed), id=name)
+    + [pytest.param(precondition_matrix, 0, id="precondition")]
+    + [pytest.param(_instance_matrix(config), seed, id=name)
        for name, config, seed in WORKLOAD_CASES]
 )
 
 
-@pytest.mark.parametrize("make_oracle", CASES)
-def test_each_decision_once(monkeypatch, make_oracle):
-    oracle = make_oracle()
+@pytest.mark.parametrize("make_matrix, oracle_seed", CASES)
+def test_each_decision_once(monkeypatch, make_matrix, oracle_seed):
+    oracle = QueryOracle(make_matrix(), rng_seed=oracle_seed)
     result, counts = counted_run(monkeypatch, oracle)
     k = len(result.pivot_cols)
+    n1, n2 = oracle.shape
     assert k > 0
 
     assert counts["run"] == Counter()
@@ -135,24 +152,26 @@ def test_each_decision_once(monkeypatch, make_oracle):
     assert found["query_entry"] == 0
     assert found["query_block"] == 0
     assert found["lstsq"] == 0
+    assert found["cells"] == k * (n1 + n2) + found["probes"]
 
+    # Identification and recovery work from what discovery revealed.
     flagged = counts["identify"]
     assert flagged["unit_vectors_in_colspace"] == 1
     assert flagged["svd"] <= 1
-    assert flagged["query_block"] <= 1
     assert flagged["inv"] == 0
-    assert set(flagged) <= {"unit_vectors_in_colspace", "svd", "query_block"}
+    assert flagged["cells"] == 0
+    assert set(flagged) <= {"unit_vectors_in_colspace", "svd"}
 
     solved = counts["recover"]
     assert solved["svd"] <= 1
     assert solved["lstsq"] == 0
     assert solved["inv"] == 0
-    assert solved["query_block"] <= 3
-    assert set(solved) <= {"svd", "query_block"}
+    assert solved["cells"] == 0
+    assert set(solved) <= {"svd"}
 
 
 def test_precondition_is_decided_in_recover(monkeypatch):
-    oracle = _precondition_oracle()
+    oracle = QueryOracle(precondition_matrix(), rng_seed=0)
     result, counts = counted_run(monkeypatch, oracle)
     assert result.status == completion.STATUS_PRECONDITION
     assert counts["phases"] == Counter(discover=1, identify=1, recover=1)

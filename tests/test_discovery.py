@@ -1,8 +1,9 @@
 """Discovery decides probes from its cached pivots: a residual bound rejects
 most of them, and the rest get the full invertibility test. These tests pin
 that the bound never rejects a block the full test accepts, that the inverse
-it multiplies by is accurate, and that discovery makes exactly the decisions
-of the per-probe loop it replaced."""
+it multiplies by is accurate, that discovery makes exactly the decisions
+of the per-probe loop it replaced, and that the pivot rows and columns it
+passes on are the cells the oracle revealed."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from noisyrows.completion import (
 from noisyrows.instances import GeneratorConfig, generate
 from noisyrows.linalg import RankTolerance, is_invertible
 from noisyrows.oracle import QueryOracle
-from test_call_counts import WORKLOAD_CASES
+from test_call_counts import CASES, WORKLOAD_CASES
 from test_completion import PINNED_RUNS
 
 PARAMS = CompletionParams(epsilon=0.1)
@@ -206,3 +207,19 @@ def test_inverse_is_accurate(monkeypatch, config, oracle_seed):
     state = discover(QueryOracle(generate(GeneratorConfig(**config)), oracle_seed), PARAMS)
     assert len(ratios) == state.rank_estimate > 0
     assert max(ratios) <= 1.0
+
+
+@pytest.mark.parametrize("make_matrix, oracle_seed", CASES)
+def test_values_are_the_revealed_cells(make_matrix, oracle_seed):
+    # Identification and recovery read no cell: they trust these values.
+    n = make_matrix()
+    oracle = QueryOracle(n, rng_seed=oracle_seed)
+    state = discover(oracle, PARAMS)
+    rows, cols = state.pivot_rows, state.pivot_cols
+    assert rows
+    for got, expected in ((state.row_values, n[rows, :]), (state.col_values, n[:, cols])):
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+    observed = oracle.observed_mask
+    assert observed[rows, :].all()
+    assert observed[:, cols].all()

@@ -147,33 +147,6 @@ class TestBlockQueries:
         np.testing.assert_array_equal(block, values[:, [2, 4]])
 
 
-class TestObservedChecks:
-    def test_follows_what_was_revealed(self):
-        o = fresh_oracle()
-        assert not o.columns_observed([1, 3])
-        o.query_column(1)
-        assert o.columns_observed([1])
-        assert not o.columns_observed([1, 3])
-        for i in range(4):
-            o.query_entry(i, 3)
-        assert o.columns_observed([3, 1])
-
-    def test_reveals_nothing(self):
-        o = fresh_oracle()
-        o.query_column(0)
-        mask, count, log = o.observed_mask, o.unique_query_count, list(o.log.entries)
-        for cols in ([0], [0, 2], []):
-            o.columns_observed(cols)
-        np.testing.assert_array_equal(o.observed_mask, mask)
-        assert o.unique_query_count == count
-        assert o.log.entries == log
-
-    @pytest.mark.parametrize("cols", [[5], [-1], [1.5], [True], [[0, 1]]])
-    def test_bad_indices_raise(self, cols):
-        with pytest.raises(IndexError):
-            fresh_oracle().columns_observed(cols)
-
-
 class TestCellQueries:
     def test_values_in_given_order(self):
         values = np.arange(20, dtype=float).reshape(4, 5)

@@ -167,7 +167,7 @@ class TestIdentificationEquivalence:
             )
             o = QueryOracle(inst, rng_seed=seed + 1)
             state = discover(o, CompletionParams(epsilon=0.01))
-            flagged = identify_noisy_rows(o, state, PARAMS)
+            flagged = identify_noisy_rows(state, PARAMS)
             reference = [
                 i for i in oracle_noisy_rows(inst.n_observed) if i in state.pivot_rows
             ]
