@@ -22,12 +22,13 @@ linearly independent of everything else, so the pivot columns isolate it; a
 clean row can only mimic that signature when the clean column space
 contains a standard basis vector, which the precondition excludes.
 
-Phase 3 (recovery) solves every remaining column against the pivot columns
-on the surviving clean pivot rows in one minimum-norm solve, exact because
-those rows span the clean row space, and reconstructs all entries on rows
-not flagged as noisy. Flagged rows carry no information about the
-underlying values, so they are reported as NaN, never invented. Recovery
-also decides the run's status, so every result is built in this phase.
+Phase 3 (recovery) solves every column against the pivot columns on the
+surviving clean pivot rows in one minimum-norm solve, exact because those
+rows span the clean row space; with the identity as the pivot columns' own
+coefficients, one product with the pivot columns rebuilds every entry.
+Flagged rows carry no information about the underlying values, so they are
+reported as NaN, never invented. Recovery also decides the run's status,
+so every result is built in this phase.
 
 The budget calculators evaluate the two closed-form query budgets (the
 headline bound and the per-phase sum) for given instance parameters.
@@ -304,14 +305,15 @@ def recover(
     """Reconstruct every entry on rows not flagged as noisy, and decide the
     run's status.
 
-    Solves all non-pivot columns at once against the pivot columns on the
-    clean pivot rows: a wide system of full row rank whose minimum-norm
-    solution is exact, because the clean pivot rows span the clean row
-    space. One thin SVD of that block decides its rank and gives the
-    solution. The pivot columns on all clean rows times that solution give
-    the other columns. Flagged rows are filled with NaN. All of it comes
-    from the pivot rows N[R, :] and columns N[:, C] discovery revealed; the
-    oracle gives only the shape and the query count.
+    Solves every column at once against the pivot columns on the clean
+    pivot rows: a wide system of full row rank whose minimum-norm solution
+    is exact, because the clean pivot rows span the clean row space. One
+    thin SVD of that block decides its rank and gives the coefficients W.
+    On the pivot columns W is set to the identity, so those columns are
+    copied exactly, and the result is the one product N[:, C] W, with the
+    flagged rows then set to NaN. All of it comes from the pivot rows
+    N[R, :] and columns N[:, C] discovery revealed; the oracle gives only
+    the shape and the query count.
 
     With no pivots the observed matrix is zero at tolerance, and the result
     is `ok` with zeros. When every pivot row is flagged, the clean column
@@ -331,22 +333,14 @@ def recover(
     if not clean_pivots:
         status = STATUS_PRECONDITION if state.pivot_rows else STATUS_OK
         return _result(oracle, state, noisy_rows, status, np.zeros((n1, n2)))
-    clean_all = [i for i in range(n1) if i not in flagged]
-    pivot_cols = list(state.pivot_cols)
-    claimed = set(pivot_cols)
-    others = [j for j in range(n2) if j not in claimed]
-
-    basis = state.row_values[np.ix_(clean_pivots, pivot_cols)]
-    rhs = state.row_values[np.ix_(clean_pivots, others)]
+    rows = state.row_values[clean_pivots]
     try:
-        coeffs = solve_least_squares(basis, rhs, params.tol)
+        coeffs = solve_least_squares(rows[:, state.pivot_cols], rows, params.tol)
     except DegenerateSystemError:
         return _result(oracle, state, noisy_rows, STATUS_BUDGET)
-    on_pivot_cols = state.col_values[clean_all]
-    recovered = np.full((n1, n2), np.nan)
-    recovered[np.ix_(clean_all, pivot_cols)] = on_pivot_cols
-    recovered[np.ix_(clean_all, others)] = on_pivot_cols @ coeffs
-    return _result(oracle, state, noisy_rows, STATUS_OK, recovered)
+    # Products with 0 and 1 are exact, so the pivot columns come out as read.
+    coeffs[:, state.pivot_cols] = np.eye(len(state.pivot_cols))
+    return _result(oracle, state, noisy_rows, STATUS_OK, state.col_values @ coeffs)
 
 
 def run(oracle: QueryOracle, params: CompletionParams | None = None) -> CompletionResult:

@@ -8,7 +8,6 @@ seeded separately from the instance, so a whole trial replays from the pair
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,12 +27,15 @@ class QueryLog:
     def append(self, kind: str, i: int | None, j: int | None, count: int) -> None:
         self.entries.append((kind, i, j, count))
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            w = csv.writer(f)
-            w.writerow(["kind", "i", "j", "unique_count"])
-            for kind, i, j, count in self.entries:
-                w.writerow([kind, "" if i is None else i, "" if j is None else j, count])
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The sorted distinct elements of `a`, as np.unique gives them, at a
+    fraction of its cost: sort, then keep each element unlike its predecessor."""
+    s = np.sort(a)
+    keep = np.empty(s.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    return s[keep]
 
 
 class QueryOracle:
@@ -116,7 +118,7 @@ class QueryOracle:
         """
         r = self._check_all(rows, 0)
         c = self._check_all(cols, 1)
-        self._reveal("block", None, None, np.ix_(np.unique(r), np.unique(c)))
+        self._reveal("block", None, None, np.ix_(_distinct(r), _distinct(c)))
         return self._values[np.ix_(r, c)]
 
     def query_cells(self, rows, cols) -> np.ndarray:
@@ -129,7 +131,7 @@ class QueryOracle:
         c = self._check_all(cols, 1)
         if r.shape != c.shape:
             raise IndexError(f"{r.size} row indices do not pair with {c.size} column indices")
-        cells = np.unique(np.ravel_multi_index((r, c), self._values.shape))
+        cells = _distinct(np.ravel_multi_index((r, c), self._values.shape))
         self._reveal("cells", None, None, np.unravel_index(cells, self._values.shape))
         return self._values[r, c]
 

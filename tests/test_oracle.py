@@ -1,5 +1,3 @@
-import csv
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -300,29 +298,10 @@ class TestQueryLog:
         counts = [c for *_, c in o.log.entries]
         assert counts == sorted(counts)
 
-    def test_csv_export(self, tmp_path):
-        o = fresh_oracle()
-        o.query_entry(0, 1)
-        o.query_row(2)
-        o.query_column(3)
-        path = tmp_path / "log.csv"
-        o.log.to_csv(path)
-        with open(path, newline="") as f:
-            rows = list(csv.reader(f))
-        assert rows[0] == ["kind", "i", "j", "unique_count"]
-        assert rows[1] == ["entry", "0", "1", "1"]
-        assert rows[2] == ["row", "2", "", "6"]
-        assert rows[3][0] == "column"
-
-    def test_block_is_one_event(self, tmp_path):
+    def test_block_is_one_event(self):
         o = fresh_oracle()
         o.query_entry(0, 1)
         o.query_block([0, 1], [1, 2, 3])
         o.query_block([0], [1])
         assert [kind for kind, *_ in o.log.entries] == ["entry", "block", "block"]
-        path = tmp_path / "log.csv"
-        o.log.to_csv(path)
-        with open(path, newline="") as f:
-            rows = list(csv.reader(f))
-        assert rows[2] == ["block", "", "", "6"]
-        assert rows[3] == ["block", "", "", "6"]
+        assert [count for *_, count in o.log.entries] == [1, 6, 6]
