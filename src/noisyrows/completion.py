@@ -15,12 +15,12 @@ those pivots; the bound rejects nothing that test would accept. A pass
 budget of consecutive unproductive sweeps decides when the rank is complete.
 
 Phases 2 and 3 work from the pivot rows and columns discovery revealed,
-and read no cell. Phase 2 (identification) flags the discovered rows i
-whose standard basis vector e_i lies in the column space of the pivot
-columns, that is, whose deletion drops their rank. A corrupted row is
-linearly independent of everything else, so the pivot columns isolate it; a
-clean row can only mimic that signature when the clean column space
-contains a standard basis vector, which the precondition excludes.
+and read no cell. Phase 2 (identification) flags the pivot rows that no
+other row draws on in the interpolation matrix S = N[:, C] A^-1 of the
+certified pivot block A = N[R, C]: deleting such a row drops the rank of
+the pivot columns. A corrupted row is independent of everything else, so
+none draws on it; a clean row can only mimic that when the clean column
+space contains a standard basis vector, which the precondition excludes.
 
 Phase 3 (recovery) solves every column against the pivot columns on the
 surviving clean pivot rows in one minimum-norm solve, exact because those
@@ -46,7 +46,6 @@ from .linalg import (
     RankTolerance,
     is_invertible,
     solve_least_squares,
-    unit_vectors_in_colspace,
 )
 from .oracle import QueryOracle
 
@@ -289,10 +288,13 @@ def discover(oracle: QueryOracle, params: CompletionParams) -> DiscoveryState:
 
 
 def identify_noisy_rows(state: DiscoveryState, params: CompletionParams) -> list[int]:
-    """Flag the discovered rows i whose e_i lies in the column space of the
-    pivot columns N[:, C] that discovery revealed, i.e. whose deletion drops
-    their rank. Reads no cell."""
-    flags = unit_vectors_in_colspace(state.col_values, state.pivot_rows, params.tol)
+    """Flag the pivot rows whose deletion drops the rank of N[:, C]: pivot t
+    when no other row i has |S[i, t]| above rel_threshold max|S[i, :]|, with
+    S = N[:, C] A^-1 and A = N[R, C] the block discovery certified."""
+    # S = N[:, C] A^-1 is the identity on the pivot rows R.
+    s = np.abs(state.col_values @ np.linalg.inv(state.row_values[:, state.pivot_cols]))
+    s[state.pivot_rows] = 0.0
+    flags = (s <= params.tol.rel_threshold * s.max(axis=1, keepdims=True, initial=0.0)).all(axis=0)
     return sorted(i for i, flagged in zip(state.pivot_rows, flags) if flagged)
 
 
@@ -315,24 +317,22 @@ def recover(
     N[R, :] and columns N[:, C] discovery revealed; the oracle gives only
     the shape and the query count.
 
-    With no pivots the observed matrix is zero at tolerance, and the result
-    is `ok` with zeros. When every pivot row is flagged, the clean column
-    space must contain a standard basis vector, which the method's
-    precondition excludes; the result is then `precondition-violated` with
-    the zero matrix on unflagged rows (the span of an empty basis).
+    With no pivots the solve and the product are empty and give `ok` with
+    zeros. When every pivot row is flagged, the clean column space must
+    contain a standard basis vector, which the method's precondition
+    excludes; the result is then `precondition-violated` with the zero
+    matrix on unflagged rows (the span of an empty basis).
     `budget-exhausted`, with no values, comes only from the solve finding
     the clean pivot rows rank deficient. They are a row subset of the block
     that discovery's last acceptance certified invertible, so by interlacing
     their singular-value ratio passes the same relative cut except at a
     rounding tie.
     """
-    n1, n2 = oracle.shape
     flagged = set(noisy_rows)
     # Positions in R of the clean pivot rows.
     clean_pivots = [t for t, i in enumerate(state.pivot_rows) if i not in flagged]
-    if not clean_pivots:
-        status = STATUS_PRECONDITION if state.pivot_rows else STATUS_OK
-        return _result(oracle, state, noisy_rows, status, np.zeros((n1, n2)))
+    if state.pivot_rows and not clean_pivots:
+        return _result(oracle, state, noisy_rows, STATUS_PRECONDITION, np.zeros(oracle.shape))
     rows = state.row_values[clean_pivots]
     try:
         coeffs = solve_least_squares(rows[:, state.pivot_cols], rows, params.tol)

@@ -45,12 +45,12 @@ class RankTolerance:
 DEFAULT_TOL = RankTolerance()
 
 
-def as_matrix(m, allow_nan: bool = False) -> np.ndarray:
+def as_matrix(m) -> np.ndarray:
     """Coerce input to a 2-D float array, validating shape and finiteness."""
     a = np.asarray(m, dtype=float)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    if not allow_nan and a.size and not np.isfinite(a).all():
+    if a.size and not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
 

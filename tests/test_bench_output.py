@@ -22,9 +22,7 @@ def _reject(constant):
 
 
 CASES = [
-    pytest.param(
-        workload, trace, id=f"{trace}" if workload == "trials" else f"{workload}-{trace}"
-    )
+    pytest.param(workload, trace, id=f"{workload}-{trace}")
     for workload in ("trials", "square", "wide")
     for trace in (0, 1)
 ]

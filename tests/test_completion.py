@@ -22,7 +22,7 @@ from noisyrows.completion import (
 from noisyrows.instances import GeneratorConfig, generate
 from noisyrows.linalg import DegenerateSystemError, RankTolerance, is_invertible, numerical_rank
 from noisyrows.oracle import QueryOracle
-from noisyrows.verify import max_relative_error
+from noisyrows.verify import max_relative_error, oracle_noisy_rows
 
 PARAMS = CompletionParams(epsilon=0.1)
 
@@ -119,6 +119,23 @@ class TestIdentifyNoisyRows:
 
     def test_empty_state(self):
         assert identify_noisy_rows(hand_state(np.zeros((3, 3)), [], []), PARAMS) == []
+
+    def test_one_row_far_larger_than_the_rest(self):
+        # Clean row 0 is 1e8 times the others and row 5 is noisy. The test
+        # compares each row's coefficients with that row's largest, so row
+        # 0's scale cannot hide the noisy pivot.
+        checked = 0
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            n = rng.standard_normal((30, 3)) @ rng.standard_normal((3, 30))
+            n[0] *= 1e8
+            n[5] += rng.standard_normal(30)
+            state = discover(QueryOracle(n, rng_seed=seed), PARAMS)
+            if 5 not in state.pivot_rows:
+                continue
+            checked += 1
+            assert identify_noisy_rows(state, PARAMS) == [5] == oracle_noisy_rows(n), seed
+        assert checked >= 45
 
 
 class TestRecover:
