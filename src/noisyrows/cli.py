@@ -106,10 +106,10 @@ def _result_json(result, proof_bound: float, stated_bound: float, max_rel_error)
 
 
 def cmd_run(args) -> int:
-    inst = load(args.instance)
     params = CompletionParams(
         epsilon=args.epsilon, tol=RankTolerance(rel_threshold=args.tol)
     )
+    inst = load(args.instance, params.tol)
     # Generic-position sparsity numbers unless the caller knows better.
     # The budget is evaluated first, so a bad value is rejected before the run.
     n_clean = inst.n1 - len(inst.noisy_rows)

@@ -318,6 +318,9 @@ def load(path, tol: RankTolerance = DEFAULT_TOL) -> GroundTruthInstance:
         raise InstanceFormatError(f"malformed field: {exc}") from exc
     if m.ndim != 2 or m.shape != (n1, n2) or noise.shape != (n1, n2):
         raise InstanceFormatError("matrix dimension mismatch")
+    for name, arr in (("m", m), ("noise", noise)):
+        if not np.isfinite(arr).all():
+            raise InstanceFormatError(f"field {name!r} has non-finite entries")
     if len(gamma) > n1:
         raise InstanceFormatError("more noisy rows than rows")
     inst = GroundTruthInstance(

@@ -110,17 +110,6 @@ class QueryOracle:
         self._reveal("column", None, j, (slice(None), j))
         return self._values[:, j].copy()
 
-    def query_block(self, rows, cols) -> np.ndarray:
-        """The submatrix N[rows x cols], in the order given.
-
-        Repeated indices are allowed; each distinct cell is revealed and
-        counted once. The read is logged as one "block" event.
-        """
-        r = self._check_all(rows, 0)
-        c = self._check_all(cols, 1)
-        self._reveal("block", None, None, np.ix_(_distinct(r), _distinct(c)))
-        return self._values[np.ix_(r, c)]
-
     def query_cells(self, rows, cols) -> np.ndarray:
         """The cells N[rows[t], cols[t]], one per pair, in the order given.
 

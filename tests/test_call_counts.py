@@ -16,8 +16,8 @@ Ceilings, with k pivots of an n1 x n2 matrix and S sweeps
   run        no SVD, solve, inverse, decision or oracle call at all
   discover   at most k invertibility tests and k SVDs (one per acceptance),
              at most k inverses (one per acceptance), no solve, exactly k
-             row and k column reads, one cell read per sweep, no entry or
-             block reads, and exactly k (n1 + n2) + P cells read
+             row and k column reads, one cell read per sweep, no entry
+             reads, and exactly k (n1 + n2) + P cells read
   identify   exactly 1 inverse (of the pivot block), and no SVD, solve,
              decision or oracle call
   recover    at most 1 SVD, no inverse and no oracle call; no SVD either
@@ -52,7 +52,6 @@ READS = {
     "query_entry": lambda o, i, j: 1,
     "query_row": lambda o, i: o.shape[1],
     "query_column": lambda o, j: o.shape[0],
-    "query_block": lambda o, rows, cols: len(rows) * len(cols),
     "query_cells": lambda o, rows, cols: len(rows),
 }
 
@@ -149,7 +148,6 @@ def test_each_decision_once(monkeypatch, make_matrix, oracle_seed):
     assert found["query_column"] == k
     assert found["query_cells"] == sweeps
     assert found["query_entry"] == 0
-    assert found["query_block"] == 0
     assert found["lstsq"] == 0
     assert found["cells"] == k * (n1 + n2) + found["probes"]
 

@@ -1,10 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 from noisyrows import cli
 from noisyrows.cli import main
-from noisyrows.instances import load
+from noisyrows.instances import GroundTruthInstance, load, save
 from noisyrows.verify import read_trial_stats_csv
 
 
@@ -110,6 +111,22 @@ class TestRun:
         assert captured.out == ""
         assert "sparsity numbers are at least 1" in captured.err
         assert runs == []
+
+    def test_instance_is_validated_at_the_run_tolerance(self, tmp_path, capsys):
+        # Declared rank 2, with a third singular value 1e-8 times the first:
+        # rank 3 at the default 1e-9 cut, rank 2 at 1e-6.
+        rng = np.random.default_rng(5)
+        u, _ = np.linalg.qr(rng.standard_normal((8, 3)))
+        v, _ = np.linalg.qr(rng.standard_normal((6, 3)))
+        m = (u * [1.0, 0.5, 1e-8]) @ v.T
+        path = tmp_path / "edge.json"
+        save(GroundTruthInstance(m=m, noisy_rows=(), noise=np.zeros_like(m),
+                                 n_observed=m, rank_r=2, seed=0), path)
+        capsys.readouterr()
+        assert main(["run", "--instance", str(path), "--tol", "1e-6"]) == 0
+        assert "status: ok" in capsys.readouterr().out
+        assert main(["run", "--instance", str(path)]) == 1
+        assert "clean matrix rank does not match declared rank" in capsys.readouterr().err
 
 
 class TestTrials:

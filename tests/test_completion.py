@@ -418,6 +418,35 @@ class TestMissRate:
         assert clopper_pearson_upper(misses, self.RUNS) <= epsilon, misses
 
 
+class TestSoundness:
+    """A run never flags a clean row, even when a large epsilon stops
+    discovery before every noisy row is a pivot. What a miss does flag is
+    not pinned here."""
+
+    SEEDS = range(60)
+
+    @pytest.fixture(scope="class")
+    def outcomes(self):
+        """(true noisy rows, flagged rows) of every run."""
+        pairs = []
+        for seed in self.SEEDS:
+            for psi in range(2, 7):
+                inst = generate(GeneratorConfig(n1=60, n2=40, rank_r=4, num_noisy=3,
+                                                mode="sparse-basis", target_psi=psi,
+                                                seed=seed))
+                for epsilon in (0.9, 0.5):
+                    result = run(QueryOracle(inst, rng_seed=seed + 7),
+                                 CompletionParams(epsilon=epsilon))
+                    pairs.append((inst.noisy_rows, result.noisy_rows_hat))
+        return pairs
+
+    def test_no_clean_row_flagged(self, outcomes):
+        assert all(set(flagged) <= set(noisy) for noisy, flagged in outcomes)
+
+    def test_misses_are_forced(self, outcomes):
+        assert any(flagged != noisy for noisy, flagged in outcomes)
+
+
 class TestScaleEquivariance:
     """Scaling N by a power of two is exact in floating point, and every
     decision compares quantities that scale alike, so the run is the same

@@ -21,13 +21,14 @@ from noisyrows.linalg import RankTolerance, is_invertible
 from noisyrows.oracle import QueryOracle
 from test_call_counts import CASES, WORKLOAD_CASES
 from test_completion import PINNED_RUNS
+from test_oracle import read_block
 
 PARAMS = CompletionParams(epsilon=0.1)
 
 
 def probe_loop_discover(oracle: QueryOracle, params: CompletionParams) -> DiscoveryState:
-    """The reference: one drawn row, one entry read, one block read and one
-    invertibility test per probe."""
+    """The reference: one drawn row, one entry read, one read of the
+    bordered block's cells and one invertibility test per probe."""
     n1, n2 = oracle.shape
     budget = compute_eta(n1, n2, params.epsilon)
     rows: list[int] = []
@@ -43,7 +44,7 @@ def probe_loop_discover(oracle: QueryOracle, params: CompletionParams) -> Discov
             oracle.query_entry(i, j)
             if i in rows:
                 continue
-            candidate = oracle.query_block(rows + [i], cols + [j])
+            candidate = read_block(oracle, rows + [i], cols + [j])
             if is_invertible(candidate, params.tol):
                 oracle.query_column(j)
                 oracle.query_row(i)

@@ -325,6 +325,17 @@ class TestSaveLoad:
                            match=f"row {clean[-2]} carries noise but is not in gamma"):
             load(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["m", "noise"])
+    def test_non_finite_entry_is_named(self, seed7_instance, tmp_path, field, bad):
+        path = tmp_path / "inst.json"
+        save(seed7_instance, path)
+        doc = json.loads(path.read_text())
+        doc[field][2][3] = bad
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InstanceFormatError, match=f"field '{field}' has non-finite"):
+            load(path)
+
     @pytest.mark.parametrize("tail, loads", [(1e-8, False), (1e-10, True)])
     def test_rank_at_tolerance_edge(self, tmp_path, tail, loads):
         # Declared rank 2, with a third singular value `tail` times the first:

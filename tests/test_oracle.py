@@ -12,6 +12,15 @@ def fresh_oracle(n1=4, n2=5, seed=0):
     return QueryOracle(values, rng_seed=seed)
 
 
+def read_block(oracle: QueryOracle, rows, cols) -> np.ndarray:
+    """N[rows x cols] in the order given, read as one `query_cells` call over
+    the block's pairs, as the reference probe loop reads its bordered blocks."""
+    r, c = np.asarray(rows), np.asarray(cols)
+    if r.ndim != 1 or c.ndim != 1:
+        raise IndexError("block rows and columns must each form a 1-D sequence")
+    return oracle.query_cells(np.repeat(r, c.size), np.tile(c, r.size)).reshape(r.size, c.size)
+
+
 class TestConstruction:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_cell_raises(self, bad):
@@ -89,15 +98,17 @@ class TestRowColumnQueries:
 
 
 class TestBlockQueries:
+    """Blocks read through `read_block`: one `query_cells` call per block."""
+
     def test_values_in_given_order(self):
         values = np.arange(20, dtype=float).reshape(4, 5)
         o = QueryOracle(values)
         rows, cols = [3, 0, 2], [4, 1]
-        np.testing.assert_array_equal(o.query_block(rows, cols), values[np.ix_(rows, cols)])
+        np.testing.assert_array_equal(read_block(o, rows, cols), values[np.ix_(rows, cols)])
 
     def test_repeats_count_once(self):
         o = fresh_oracle()
-        block = o.query_block([1, 1, 2], [0, 3, 0])
+        block = read_block(o, [1, 1, 2], [0, 3, 0])
         assert block.shape == (3, 3)
         assert o.unique_query_count == 4
         assert o.observed_mask.sum() == 4
@@ -106,7 +117,7 @@ class TestBlockQueries:
     def test_overlap_with_entry_counts_new_cells_only(self):
         o = fresh_oracle()
         o.query_entry(0, 0)
-        o.query_block([0, 1], [0, 1])
+        read_block(o, [0, 1], [0, 1])
         assert o.unique_query_count == 4
 
     @pytest.mark.parametrize(
@@ -126,14 +137,14 @@ class TestBlockQueries:
     def test_bad_indices_raise(self, rows, cols):
         o = fresh_oracle()
         with pytest.raises(IndexError):
-            o.query_block(rows, cols)
+            read_block(o, rows, cols)
         assert o.unique_query_count == 0
         assert o.log.entries == []
 
     @pytest.mark.parametrize("rows, cols", [([], [0, 1]), ([2], []), ([], [])])
     def test_empty_reveals_nothing(self, rows, cols):
         o = fresh_oracle()
-        block = o.query_block(rows, cols)
+        block = read_block(o, rows, cols)
         assert block.shape == (len(rows), len(cols))
         assert o.unique_query_count == 0
         assert not o.observed_mask.any()
@@ -141,7 +152,7 @@ class TestBlockQueries:
     def test_accepts_ranges_and_arrays(self):
         values = np.arange(20, dtype=float).reshape(4, 5)
         o = QueryOracle(values)
-        block = o.query_block(range(4), np.array([2, 4]))
+        block = read_block(o, range(4), np.array([2, 4]))
         np.testing.assert_array_equal(block, values[:, [2, 4]])
 
 
@@ -195,6 +206,12 @@ class TestCellQueries:
         o.query_cells([0, 1, 0], [1, 2, 1])
         o.query_cells([], [])
         assert o.log.entries == [("cells", None, None, 2), ("cells", None, None, 2)]
+
+    def test_accepts_ranges_and_arrays(self):
+        values = np.arange(20, dtype=float).reshape(4, 5)
+        o = QueryOracle(values)
+        cells = o.query_cells(range(4), np.array([2, 4, 0, 2]))
+        np.testing.assert_array_equal(cells, values[[0, 1, 2, 3], [2, 4, 0, 2]])
 
 
 class TestRandomRowDraws:
@@ -272,10 +289,10 @@ class TestCounting:
     def test_mixed_queries_count_matches_mask(self):
         o = fresh_oracle()
         o.query_entry(3, 4)
-        o.query_block([0, 3, 3], [4, 0])
+        o.query_cells([0, 0, 3, 3], [4, 0, 4, 0])
         o.query_row(1)
         o.query_column(2)
-        o.query_block([1, 2], [2, 3])
+        o.query_cells([1, 1, 2, 2], [2, 3, 2, 3])
         assert o.unique_query_count == o.observed_mask.sum() == 13
         assert type(o.unique_query_count) is int
         assert all(type(count) is int for *_, count in o.log.entries)
@@ -301,7 +318,7 @@ class TestQueryLog:
     def test_block_is_one_event(self):
         o = fresh_oracle()
         o.query_entry(0, 1)
-        o.query_block([0, 1], [1, 2, 3])
-        o.query_block([0], [1])
-        assert [kind for kind, *_ in o.log.entries] == ["entry", "block", "block"]
+        read_block(o, [0, 1], [1, 2, 3])
+        read_block(o, [0], [1])
+        assert [kind for kind, *_ in o.log.entries] == ["entry", "cells", "cells"]
         assert [count for *_, count in o.log.entries] == [1, 6, 6]

@@ -1,4 +1,5 @@
 import csv
+import json
 import runpy
 from pathlib import Path
 
@@ -36,3 +37,15 @@ def test_detection_probability(tmp_path, capsys):
     for row in rows[1:]:
         assert 0.0 <= float(row[5]) <= 1.0
     assert "estimate=" in capsys.readouterr().out
+
+
+def test_decision_digest_repeats(capsys):
+    main = script_main("decision_digest.py")
+    lines = []
+    for _ in range(2):
+        assert main(["--workload", "trials", "--seeds", "101"]) == 0
+        lines.append(capsys.readouterr().out)
+    assert lines[0] == lines[1]
+    line = json.loads(lines[0])
+    assert (line["workload"], line["runs"], line["unique_queries"], line["successes"]) == (
+        "trials", 80, 184_880, 80)
