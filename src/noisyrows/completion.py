@@ -142,14 +142,19 @@ class _Pivots:
 
     A probe (i, j) with value v borders the pivot block A = P[:, C] into
     B = [[A, P[:, j]], [Q[i], v]]. With w = A^-1 P[:, j] and z = [-w; 1],
-    sigma_min(B) <= ||Bz|| / ||z||, whatever rounding w carries, and
-    ||Bz|| = hypot(||P[:, j] - A w||, v - Q[i] w). Since
-    sigma_max(B) >= max|B|, a bound at most
-    max|B| (rel_threshold - 4 (k+1)^2 eps) fails the invertibility test;
-    the last term leaves room for the rounding of that test's SVD. So w
-    may come from an inverse of A, taken once per acceptance, rather than
-    from a solve per probe: its rounding moves the bound, never its
-    soundness.
+    sigma_min(B) <= ||Bz|| / ||z|| whatever rounding w carries, so w may
+    come from an inverse of A taken once per acceptance. Since
+    sigma_max(B) >= m = max|B|, ||Bz|| <= ||z|| m (rel_threshold -
+    4 (k+1)^2 eps) fails the invertibility test, the last term leaving room
+    for its SVD's rounding. With m = f 2^e, f in [0.5, 1), the exact scale
+    2^-e makes this ||2^-e Bz||^2 <= ||z||^2 (f level)^2, on sums of squares.
+    Computing Bz errs by at most gamma_{k+1} |B| |z| (Higham, Accuracy and
+    Stability of Numerical Algorithms, 3.1), so by (k+1)^2 eps m ||z|| in
+    norm, and the level takes 5 (k+1)^2 eps off the threshold; the factor
+    1 - 2 (k+4) eps covers the rounding of the sums, products and level. A
+    level at most 2^-500 rejects only an all-zero block (its square is -1),
+    so the right-hand side is at least 2^-1002 and a square that underflows
+    is negligible. Sums that overflow or are NaN reject nothing.
     """
 
     def __init__(self, n1: int, n2: int, tol: RankTolerance):
@@ -165,13 +170,9 @@ class _Pivots:
     def _set_block(self, a: np.ndarray, a_inv: np.ndarray) -> None:
         k = a.shape[0]
         self._a, self._a_inv = a, a_inv
-        self._abs_a = np.abs(a)
-        self._a_max = self._abs_a.max(initial=0.0)
-        # Evaluating Bz with k-term dot products errs by at most
-        # 2 (k+2) eps times the magnitudes summed; the factor after the
-        # threshold covers the rounding of ||z|| and of the product.
-        self._rounding = 2 * (k + 2) * _EPS
-        self._level = (self._tol.rel_threshold - 4 * (k + 1) ** 2 * _EPS) * (1 - 2 * (k + 3) * _EPS)
+        self._a_max = np.abs(a).max(initial=0.0)
+        level = (self._tol.rel_threshold - 5 * (k + 1) ** 2 * _EPS) * (1 - 2 * (k + 4) * _EPS)
+        self._level_sq = level * level if level > 2.0**-500 else -1.0
 
     def accept(self, i: int, j: int, v: float, row: np.ndarray, col: np.ndarray) -> None:
         """Make the probe (i, j) with value v a pivot, given its full row
@@ -190,24 +191,20 @@ class _Pivots:
     def rejects(self, i: np.ndarray, j: np.ndarray, v: np.ndarray) -> np.ndarray:
         """For each probe (i[t], j[t]) with value v[t], whether the residual
         bound shows that the bordered block fails `is_invertible`. A bound
-        that overflows or is NaN rejects nothing."""
+        whose sums overflow or are NaN rejects nothing."""
         k = len(self.rows)
-        p, q = self.p[:k, j], self.q[:k, i]  # P[:, j] and Q[i]^T
-        abs_p = np.abs(p)
-        # hypot sums squares without overflow or underflow.
+        # P[:, j] and Q[i]^T; take lays them out row-major, which the reductions need.
+        p, q = self.p[:k].take(j, axis=1), self.q[:k].take(i, axis=1)
+        max_b = np.maximum(np.abs(p).max(axis=0, initial=self._a_max), np.abs(v))
+        max_b = np.maximum(max_b, np.abs(q).max(axis=0, initial=0.0))
+        f, e = np.frexp(max_b)  # max_b = f 2^e, f in [0.5, 1)
         with np.errstate(over="ignore", invalid="ignore"):
             w = self._a_inv @ p
-            top = np.hypot.reduce(p - self._a @ w, axis=0)
-            top_scale = np.hypot.reduce(abs_p + self._abs_a @ np.abs(w), axis=0)
-            bottom = v - (q * w).sum(axis=0)
-            bottom_scale = np.abs(v) + (np.abs(q) * np.abs(w)).sum(axis=0)
-            bound = np.hypot(top, bottom) + self._rounding * (top_scale + bottom_scale)
-            z = np.hypot(1.0, np.hypot.reduce(w, axis=0))
-            max_b = np.maximum(
-                np.maximum(abs_p.max(axis=0, initial=0.0), np.abs(q).max(axis=0, initial=0.0)),
-                np.maximum(np.abs(v), self._a_max),
-            )
-            return np.isfinite(bound) & (bound <= z * max_b * self._level)
+            top = np.ldexp(p - self._a @ w, -e)
+            bottom = np.ldexp(v - np.einsum("ij,ij->j", q, w), -e)
+            residual = np.einsum("ij,ij->j", top, top) + bottom * bottom
+            limit = (1.0 + np.einsum("ij,ij->j", w, w)) * (f * f * self._level_sq)
+            return np.isfinite(limit) & (residual <= limit)
 
     def block(self, i: int, j: int, v: float) -> np.ndarray:
         """B = N[R + [i], C + [j]], assembled from the cached pivots."""

@@ -99,7 +99,7 @@ def test_probes_read_as_one_cells_event_per_sweep():
     o = QueryOracle(inst, rng_seed=4)
     state = discover(o, PARAMS)
     kinds = [kind for kind, *_ in o.log.entries]
-    assert "entry" not in kinds and "block" not in kinds
+    assert set(kinds) <= {"cells", "row", "column"}
     assert kinds.count("row") == kinds.count("column") == state.rank_estimate
     sweeps = kinds.count("cells")
     assert state.pass_budget <= sweeps <= state.pass_budget + state.rank_estimate
@@ -162,6 +162,9 @@ def test_filter_never_rejects_an_invertible_block(
         # W overflows and the probe's pivot-column entry is 0, so the bound
         # is NaN.
         np.array([[1e-200, 1e200], [0.0, 1.0]]),
+        # W = P has entries near 1e160: hypot would stay finite, but ||W||^2
+        # overflows. The block is singular, so only the SVD may reject it.
+        np.array([[1.0, 0.0, 1e160], [0.0, 1.0, 1e160], [1.0, 1.0, 2e160]]),
     ],
 )
 def test_non_finite_bound_falls_through(block):
@@ -171,6 +174,39 @@ def test_non_finite_bound_falls_through(block):
     assert not pivots.rejects(np.array([k]), np.array([k]), np.array([block[k, k]]))[0]
     accepted = pivots.first_accepted(np.array([k]), np.array([k]), np.array([block[k, k]]))
     assert accepted == (0 if is_invertible(block, tol) else None)
+
+
+def test_a_window_of_mixed_scales_decides_each_probe_alone():
+    # One call scales each probe by its own power of two. The pivot block is
+    # of size 1e-160 and the probes' entries in the pivot columns run from
+    # 1e-160 to 1e160, past where unscaled squares underflow or overflow; each
+    # probe is singular up to a delta within two decades of rel_threshold.
+    # Each verdict must be the one the probe gets alone, and sound, and every
+    # probe a decade or more below the cut must be rejected.
+    rng = np.random.default_rng(5)
+    k, m, tol = 4, 80, RankTolerance()
+    u, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    a = 1e-160 * (u * np.logspace(0.0, -2.0, k))
+    n = np.zeros((k + m, k + m))
+    n[:k, :k] = a
+    log_delta = rng.uniform(-2.0, 2.0, m)
+    for t, scale in enumerate(np.logspace(-160.0, 160.0, m)):
+        p, q = 1e-160 * rng.standard_normal(k), scale * rng.standard_normal(k)
+        v = q @ np.linalg.solve(a, p)
+        largest = max(np.abs(a).max(), np.abs(p).max(), np.abs(q).max(), abs(v))
+        delta = tol.rel_threshold * 10.0 ** log_delta[t] * rng.choice([-1.0, 1.0])
+        n[:k, k + t], n[k + t, :k], n[k + t, k + t] = p, q, v + delta * largest
+    pivots = _Pivots(*n.shape, tol)
+    for t in range(k):
+        pivots.accept(t, t, n[t, t], n[t, :], n[:, t])
+    probes = np.arange(k, k + m)
+    rejected = pivots.rejects(probes, probes, n[probes, probes])
+    for t, verdict in zip(probes, rejected):
+        assert verdict == pivots.rejects(t[None], t[None], n[t, t][None])[0]
+        if verdict:
+            assert not is_invertible(pivots.block(t, t, n[t, t]), tol)
+    assert rejected[log_delta <= -1.0].all()
+    assert not rejected.all()
 
 
 def test_block_is_the_bordered_submatrix():
