@@ -14,7 +14,7 @@ Instances serialize to a single JSON document; all row indices are 0-based.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -85,14 +85,39 @@ class GeneratorConfig:
 
 @dataclass(frozen=True)
 class GroundTruthInstance:
-    """The hidden triple: clean matrix, noisy row set, and additive noise."""
+    """The hidden triple: clean matrix, noisy row set, and additive noise.
+
+    Row t of ``noise_rows`` is the noise on row ``noisy_rows[t]``; every other
+    row is clean. The observed matrix n_observed = m + noise is built here,
+    once, so an instance is consistent by construction.
+    """
 
     m: np.ndarray
     noisy_rows: tuple[int, ...]
-    noise: np.ndarray
-    n_observed: np.ndarray
+    noise_rows: np.ndarray
     rank_r: int
     seed: int
+    n_observed: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        n1, n2 = self.m.shape
+        gamma = self.noisy_rows
+        if self.noise_rows.shape != (len(gamma), n2):
+            raise InstanceFormatError("matrix dimension mismatch")
+        if len(set(gamma)) != len(gamma):
+            raise InstanceFormatError("duplicate noisy-row indices")
+        if any(not (0 <= i < n1) for i in gamma):
+            raise InstanceFormatError("noisy-row index out of range")
+        silent = np.flatnonzero(~self.noise_rows.any(axis=1))
+        if silent.size:
+            raise InstanceFormatError(f"noisy row {gamma[silent[0]]} carries no noise")
+        # Every row is m plus its noise row, a zero row off gamma, so signed
+        # zeros come out as in the dense sum m + noise: -0.0 + 0.0 is 0.0.
+        n_observed = self.m + 0.0
+        n_observed[list(gamma)] = self.m[list(gamma)] + self.noise_rows
+        object.__setattr__(self, "n_observed", n_observed)
+        for arr in (self.m, self.noise_rows, self.n_observed):
+            arr.flags.writeable = False
 
     @property
     def n1(self) -> int:
@@ -116,47 +141,17 @@ class SparsityProfile:
     psi_row_clean: int
 
 
-def _check_structure(inst: GroundTruthInstance) -> None:
-    """Shapes, the noisy-row set, the noise-row pattern and n_observed = m + noise."""
-    m, noise, n_obs = inst.m, inst.noise, inst.n_observed
-    n1, n2 = m.shape
-    if noise.shape != (n1, n2) or n_obs.shape != (n1, n2):
-        raise InstanceFormatError("matrix dimension mismatch")
-    gamma = inst.noisy_rows
-    if len(set(gamma)) != len(gamma):
-        raise InstanceFormatError("duplicate noisy-row indices")
-    if any(not (0 <= i < n1) for i in gamma):
-        raise InstanceFormatError("noisy-row index out of range")
-    # Built only now: a negative index would have wrapped.
-    in_gamma = np.zeros(n1, dtype=bool)
-    in_gamma[list(gamma)] = True
-    mismatched = np.flatnonzero(noise.any(axis=1) != in_gamma)
-    if mismatched.size:
-        i = int(mismatched[0])
-        if in_gamma[i]:
-            raise InstanceFormatError(f"noisy row {i} carries no noise")
-        raise InstanceFormatError(f"row {i} carries noise but is not in gamma")
-    if not np.array_equal(n_obs, m + noise):
-        raise InstanceFormatError("observed matrix is not m + noise")
-
-
-def _check_ranks(inst: GroundTruthInstance, clean_rank, observed_rank) -> None:
-    """Compare rank(m) and rank(n_observed), each computed by its callable
-    only when reached, with the declared rank r and r + |gamma|."""
-    if clean_rank() != inst.rank_r:
+def _check_ranks(inst: GroundTruthInstance, clean_rank: int, observed_rank: int) -> None:
+    """Compare rank(m) and rank(n_observed) with the declared rank r and r + |gamma|."""
+    if clean_rank != inst.rank_r:
         raise InstanceFormatError("clean matrix rank does not match declared rank")
-    if observed_rank() != inst.rank_r + len(inst.noisy_rows):
+    if observed_rank != inst.rank_r + len(inst.noisy_rows):
         raise InstanceFormatError("observed matrix rank is not rank + noisy count")
 
 
 def _check_instance(inst: GroundTruthInstance, tol: RankTolerance = DEFAULT_TOL) -> None:
-    """Every invariant of an instance, with the ranks taken of the dense matrices."""
-    _check_structure(inst)
-    _check_ranks(
-        inst,
-        lambda: numerical_rank(inst.m, tol),
-        lambda: numerical_rank(inst.n_observed, tol),
-    )
+    """The rank invariants of an instance, taken of the dense matrices."""
+    _check_ranks(inst, numerical_rank(inst.m, tol), numerical_rank(inst.n_observed, tol))
 
 
 def _product_rank(a: np.ndarray, b: np.ndarray, tol: RankTolerance = DEFAULT_TOL) -> int:
@@ -178,9 +173,7 @@ def _check_draw(
     """The rank and psi invariants of a fresh draw m = left @ right, decided on
     the factors instead of the dense n1 x n2 matrices.
 
-    The structure holds by construction (_draw_candidate builds n_observed as
-    m + noise), so only load() runs _check_structure.
-    n_observed = [left | E_gamma] @ [right; noise[gamma]], where E_gamma holds
+    n_observed = [left | E_gamma] @ [right; noise_rows], where E_gamma holds
     the unit columns e_i for i in gamma.
     """
     gamma = list(inst.noisy_rows)
@@ -188,10 +181,8 @@ def _check_draw(
     units[gamma, range(len(gamma))] = 1.0
     _check_ranks(
         inst,
-        lambda: _product_rank(left, right, tol),
-        lambda: _product_rank(
-            np.hstack([left, units]), np.vstack([right, inst.noise[gamma]]), tol
-        ),
+        _product_rank(left, right, tol),
+        _product_rank(np.hstack([left, units]), np.vstack([right, inst.noise_rows]), tol),
     )
     if enforce_psi:
         # m[clean] = left[clean] R^T Q^T for the thin QR right^T = Q R, so the
@@ -205,7 +196,7 @@ def _check_draw(
 def _draw_candidate(
     config: GeneratorConfig, attempt: int
 ) -> tuple[GroundTruthInstance, np.ndarray, np.ndarray]:
-    """One raw draw and its factors (m = left @ right); invariants are not yet verified."""
+    """One raw draw and its factors (m = left @ right); its ranks and psi are not yet verified."""
     rng = np.random.default_rng(np.random.SeedSequence([config.seed & (2**64 - 1), attempt]))
     n1, n2, r, g = config.n1, config.n2, config.rank_r, config.num_noisy
     gamma = tuple(sorted(rng.choice(n1, size=g, replace=False).tolist())) if g else ()
@@ -224,16 +215,10 @@ def _draw_candidate(
             left[[clean[p] for p in block], k] = rng.standard_normal(psi)
         left[list(gamma), :] = rng.standard_normal((g, r))
     right = rng.standard_normal((r, n2))
-    m = left @ right
-
-    noise = np.zeros((n1, n2))
-    if g:
-        noise[list(gamma), :] = rng.standard_normal((g, n2))
     inst = GroundTruthInstance(
-        m=m,
+        m=left @ right,
         noisy_rows=gamma,
-        noise=noise,
-        n_observed=m + noise,
+        noise_rows=rng.standard_normal((g, n2)),
         rank_r=r,
         seed=config.seed,
     )
@@ -257,8 +242,6 @@ def generate(config: GeneratorConfig, tol: RankTolerance = DEFAULT_TOL) -> Groun
         except InstanceFormatError as exc:
             last_error = exc
             continue
-        for arr in (inst.m, inst.noise, inst.n_observed):
-            arr.flags.writeable = False
         return inst
     raise GenerationError(
         f"no valid draw in {MAX_GENERATION_ATTEMPTS} attempts: {last_error}"
@@ -286,7 +269,10 @@ def compute_profile(
 
 
 def save(inst: GroundTruthInstance, path) -> None:
-    """Write the instance as a single JSON document (row-major arrays)."""
+    """Write the instance as a single JSON document (row-major arrays), with
+    the noise as a dense n1 x n2 field."""
+    noise = np.zeros((inst.n1, inst.n2))
+    noise[list(inst.noisy_rows)] = inst.noise_rows
     doc = {
         "n1": inst.n1,
         "n2": inst.n2,
@@ -294,7 +280,7 @@ def save(inst: GroundTruthInstance, path) -> None:
         "gamma": list(inst.noisy_rows),
         "seed": inst.seed,
         "m": inst.m.tolist(),
-        "noise": inst.noise.tolist(),
+        "noise": noise.tolist(),
     }
     Path(path).write_text(json.dumps(doc) + "\n", encoding="utf-8")
 
@@ -309,11 +295,17 @@ def load(path, tol: RankTolerance = DEFAULT_TOL) -> GroundTruthInstance:
     if not isinstance(doc, dict) or not required.issubset(doc):
         missing = required - set(doc) if isinstance(doc, dict) else required
         raise InstanceFormatError(f"missing fields: {sorted(missing)}")
+    # JSON integers only: bool is a subclass of int, and a float would be truncated.
+    for name in ("n1", "n2", "r", "seed"):
+        if type(doc[name]) is not int:
+            raise InstanceFormatError(f"field {name!r} must be an integer, got {doc[name]!r}")
+    gamma = doc["gamma"]
+    if type(gamma) is not list or any(type(i) is not int for i in gamma):
+        raise InstanceFormatError(f"field 'gamma' must be a list of integers, got {gamma!r}")
+    n1, n2 = doc["n1"], doc["n2"]
     try:
-        n1, n2 = int(doc["n1"]), int(doc["n2"])
         m = np.asarray(doc["m"], dtype=float)
         noise = np.asarray(doc["noise"], dtype=float)
-        gamma = tuple(int(i) for i in doc["gamma"])
     except (TypeError, ValueError) as exc:
         raise InstanceFormatError(f"malformed field: {exc}") from exc
     if m.ndim != 2 or m.shape != (n1, n2) or noise.shape != (n1, n2):
@@ -323,15 +315,20 @@ def load(path, tol: RankTolerance = DEFAULT_TOL) -> GroundTruthInstance:
             raise InstanceFormatError(f"field {name!r} has non-finite entries")
     if len(gamma) > n1:
         raise InstanceFormatError("more noisy rows than rows")
+    gamma = sorted(gamma)
     inst = GroundTruthInstance(
         m=m,
-        noisy_rows=tuple(sorted(gamma)),
-        noise=noise,
-        n_observed=m + noise,
-        rank_r=int(doc["r"]),
-        seed=int(doc["seed"]),
+        noisy_rows=tuple(gamma),
+        # Clamped, so that an index out of range meets the type's range check
+        # instead of failing, or wrapping if negative, in this gather.
+        noise_rows=noise[[min(max(i, 0), n1 - 1) for i in gamma]],
+        rank_r=doc["r"],
+        seed=doc["seed"],
     )
+    off_gamma = np.ones(n1, dtype=bool)
+    off_gamma[gamma] = False
+    stray = np.flatnonzero(off_gamma & noise.any(axis=1))
+    if stray.size:
+        raise InstanceFormatError(f"row {stray[0]} carries noise but is not in gamma")
     _check_instance(inst, tol)
-    for arr in (inst.m, inst.noise, inst.n_observed):
-        arr.flags.writeable = False
     return inst

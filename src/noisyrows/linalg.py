@@ -174,12 +174,12 @@ class SubspaceBasis:
 
 
 def column_space_basis(m, tol: RankTolerance = DEFAULT_TOL) -> SubspaceBasis:
-    """Orthonormal basis of the column space of m, extracted via SVD."""
+    """Orthonormal basis of the column space of m, extracted via one SVD."""
     a = as_matrix(m)
-    r = numerical_rank(a, tol)
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    r = int(np.count_nonzero(_above_cut(s, tol)))
     if r == 0:
         raise ValueError("zero matrix spans no usable column space")
-    u, _, _ = np.linalg.svd(a, full_matrices=False)
     return SubspaceBasis(ambient_dim=a.shape[0], vectors=u[:, :r], tol=tol)
 
 

@@ -84,6 +84,15 @@ class TestRun:
     def test_missing_file_exits_nonzero(self, tmp_path):
         assert main(["run", "--instance", str(tmp_path / "nope.json")]) == 1
 
+    def test_null_rank_is_an_error_not_a_traceback(self, tmp_path, capsys):
+        path = make_instance(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["r"] = None
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["run", "--instance", str(path)]) == 1
+        assert "error: field 'r' must be an integer" in capsys.readouterr().err
+
     def test_larger_epsilon_queries_less(self, tmp_path):
         path = make_instance(tmp_path)
 
@@ -120,8 +129,8 @@ class TestRun:
         v, _ = np.linalg.qr(rng.standard_normal((6, 3)))
         m = (u * [1.0, 0.5, 1e-8]) @ v.T
         path = tmp_path / "edge.json"
-        save(GroundTruthInstance(m=m, noisy_rows=(), noise=np.zeros_like(m),
-                                 n_observed=m, rank_r=2, seed=0), path)
+        save(GroundTruthInstance(m=m, noisy_rows=(), noise_rows=np.zeros((0, 6)),
+                                 rank_r=2, seed=0), path)
         capsys.readouterr()
         assert main(["run", "--instance", str(path), "--tol", "1e-6"]) == 0
         assert "status: ok" in capsys.readouterr().out

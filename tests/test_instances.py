@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import numpy as np
@@ -25,6 +24,13 @@ from noisyrows.linalg import CapacityError, has_unit_coordinate_vector, numerica
 @pytest.fixture
 def seed7_instance():
     return generate(GeneratorConfig(n1=6, n2=5, rank_r=1, num_noisy=1, seed=7))
+
+
+def dense_noise(inst):
+    """The n1 x n2 noise matrix: the noise rows on gamma, zero elsewhere."""
+    noise = np.zeros(inst.m.shape)
+    noise[list(inst.noisy_rows)] = inst.noise_rows
+    return noise
 
 
 class TestGeneratorConfig:
@@ -61,24 +67,25 @@ class TestGenerate:
 
     def test_noise_support(self, seed7_instance):
         gamma = set(seed7_instance.noisy_rows)
+        noise = dense_noise(seed7_instance)
         for i in range(6):
-            assert np.any(seed7_instance.noise[i]) == (i in gamma)
+            assert np.any(noise[i]) == (i in gamma)
 
     def test_observed_is_sum(self, seed7_instance):
         np.testing.assert_array_equal(
-            seed7_instance.n_observed, seed7_instance.m + seed7_instance.noise
+            seed7_instance.n_observed, seed7_instance.m + dense_noise(seed7_instance)
         )
 
     def test_no_noise_mode(self):
         inst = generate(GeneratorConfig(n1=5, n2=5, rank_r=2, num_noisy=0, seed=3))
         assert inst.noisy_rows == ()
-        assert not np.any(inst.noise)
+        assert inst.noise_rows.shape == (0, 5)
 
     def test_determinism(self):
         cfg = GeneratorConfig(n1=7, n2=6, rank_r=2, num_noisy=2, seed=11)
         a, b = generate(cfg), generate(cfg)
         np.testing.assert_array_equal(a.m, b.m)
-        np.testing.assert_array_equal(a.noise, b.noise)
+        np.testing.assert_array_equal(a.noise_rows, b.noise_rows)
         assert a.noisy_rows == b.noisy_rows
 
     def test_different_seeds_differ(self):
@@ -214,19 +221,12 @@ class TestFactoredChecks:
                 assert _dense_verdict(cfg, inst) is None, cfg
         assert outcomes == {"generated", "rejected"}
 
-    def test_observed_off_by_one_ulp(self, seed7_instance):
-        n_obs = seed7_instance.n_observed.copy()
-        n_obs[2, 3] = np.nextafter(n_obs[2, 3], np.inf)
-        inst = dataclasses.replace(seed7_instance, n_observed=n_obs)
-        with pytest.raises(InstanceFormatError, match=r"observed matrix is not m \+ noise"):
-            _check_instance(inst)
-
 
 class TestComputeProfile:
     def test_rank_one_all_ones(self):
         m = np.ones((4, 4))
         inst = GroundTruthInstance(
-            m=m, noisy_rows=(), noise=np.zeros((4, 4)), n_observed=m, rank_r=1, seed=0
+            m=m, noisy_rows=(), noise_rows=np.zeros((0, 4)), rank_r=1, seed=0
         )
         profile = compute_profile(inst)
         assert profile.psi_col_clean == 4
@@ -236,7 +236,7 @@ class TestComputeProfile:
         m = np.zeros((4, 3))
         m[0, :] = [1.0, 2.0, 3.0]
         inst = GroundTruthInstance(
-            m=m, noisy_rows=(), noise=np.zeros((4, 3)), n_observed=m, rank_r=1, seed=0
+            m=m, noisy_rows=(), noise_rows=np.zeros((0, 3)), rank_r=1, seed=0
         )
         assert compute_profile(inst).psi_col_clean == 1
 
@@ -244,10 +244,47 @@ class TestComputeProfile:
         rng = np.random.default_rng(0)
         m = np.outer(rng.standard_normal(25), rng.standard_normal(4))
         inst = GroundTruthInstance(
-            m=m, noisy_rows=(), noise=np.zeros((25, 4)), n_observed=m, rank_r=1, seed=0
+            m=m, noisy_rows=(), noise_rows=np.zeros((0, 4)), rank_r=1, seed=0
         )
         with pytest.raises(CapacityError):
             compute_profile(inst)
+
+
+class TestInstanceType:
+    @pytest.mark.parametrize("noisy_rows, noise_rows, message", [
+        pytest.param((1, 3), np.ones((1, 5)), "matrix dimension mismatch", id="too-few-rows"),
+        pytest.param((1,), np.ones((1, 4)), "matrix dimension mismatch", id="too-few-columns"),
+        pytest.param((1, 1), np.ones((2, 5)), "duplicate noisy-row indices", id="duplicate"),
+        pytest.param((6,), np.ones((1, 5)), "noisy-row index out of range", id="n1"),
+        pytest.param((-1,), np.ones((1, 5)), "noisy-row index out of range", id="negative"),
+        pytest.param((1, 3), np.array([[1.0] * 5, [0.0, -0.0, 0.0, 0.0, 0.0]]),
+                     "noisy row 3 carries no noise", id="silent-row"),
+    ])
+    def test_structure_faults_raise(self, noisy_rows, noise_rows, message):
+        with pytest.raises(InstanceFormatError, match=message):
+            GroundTruthInstance(m=np.ones((6, 5)), noisy_rows=noisy_rows,
+                                noise_rows=noise_rows, rank_r=1, seed=0)
+
+    def test_arrays_are_read_only(self, seed7_instance):
+        for arr in (seed7_instance.m, seed7_instance.noise_rows, seed7_instance.n_observed):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+
+    # Each m has an all-zero row: in sparse-basis mode, the clean rows outside
+    # every support; below, a row of -0.0.
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: generate(GeneratorConfig(n1=12, n2=10, rank_r=2, num_noisy=2,
+                                                      mode="sparse-basis", target_psi=3,
+                                                      seed=4)), id="sparse-basis"),
+        pytest.param(lambda: GroundTruthInstance(
+            m=np.array([[-0.0, 1.0], [-0.0, -0.0]]), noisy_rows=(1,),
+            noise_rows=np.array([[-0.0, 2.0]]), rank_r=1, seed=0), id="signed-zeros"),
+    ])
+    def test_observed_is_sum_byte_for_byte(self, build):
+        inst = build()
+        assert not inst.m.any(axis=1).all()
+        assert inst.n_observed.tobytes() == (inst.m + dense_noise(inst)).tobytes()
 
 
 class TestSaveLoad:
@@ -259,7 +296,60 @@ class TestSaveLoad:
         assert loaded.rank_r == seed7_instance.rank_r
         assert loaded.seed == seed7_instance.seed
         np.testing.assert_array_equal(loaded.m, seed7_instance.m)
-        np.testing.assert_array_equal(loaded.noise, seed7_instance.noise)
+        np.testing.assert_array_equal(loaded.noise_rows, seed7_instance.noise_rows)
+
+    def test_saved_noise_is_dense(self, seed7_instance, tmp_path):
+        path = tmp_path / "inst.json"
+        save(seed7_instance, path)
+        noise = json.loads(path.read_text())["noise"]
+        assert noise == dense_noise(seed7_instance).tolist()
+
+    @pytest.mark.parametrize("field, corrupt", [
+        pytest.param("n1", float, id="n1-float"),
+        pytest.param("n1", lambda v: v + 0.9, id="n1-fraction"),
+        pytest.param("n2", str, id="n2-string"),
+        pytest.param("r", lambda v: v + 0.7, id="r-fraction"),
+        pytest.param("r", lambda v: None, id="r-null"),
+        pytest.param("r", bool, id="r-bool"),
+        pytest.param("seed", lambda v: v + 0.5, id="seed-fraction"),
+        pytest.param("seed", lambda v: None, id="seed-null"),
+        pytest.param("gamma", lambda v: [i + 0.4 for i in v], id="gamma-fraction"),
+        pytest.param("gamma", lambda v: [str(i) for i in v], id="gamma-string"),
+        pytest.param("gamma", lambda v: [True], id="gamma-bool"),
+        pytest.param("gamma", lambda v: None, id="gamma-null"),
+    ])
+    def test_integer_fields_take_only_integers(self, seed7_instance, tmp_path, field, corrupt):
+        path = tmp_path / "inst.json"
+        save(seed7_instance, path)
+        doc = json.loads(path.read_text())
+        doc[field] = corrupt(doc[field])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InstanceFormatError, match=f"field '{field}' must be"):
+            load(path)
+
+    @pytest.mark.parametrize("gamma, message", [
+        pytest.param(lambda n1, row: [n1], "noisy-row index out of range", id="n1"),
+        pytest.param(lambda n1, row: [-1], "noisy-row index out of range", id="negative"),
+        pytest.param(lambda n1, row: [row, row], "duplicate noisy-row indices", id="duplicate"),
+    ])
+    def test_gamma_faults_are_named(self, seed7_instance, tmp_path, gamma, message):
+        path = tmp_path / "inst.json"
+        save(seed7_instance, path)
+        doc = json.loads(path.read_text())
+        doc["gamma"] = gamma(doc["n1"], doc["gamma"][0])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InstanceFormatError, match=message):
+            load(path)
+
+    @pytest.mark.parametrize("shape", [(6, 4), (5, 5), (6, 6)])
+    def test_noise_of_the_wrong_shape(self, seed7_instance, tmp_path, shape):
+        path = tmp_path / "inst.json"
+        save(seed7_instance, path)
+        doc = json.loads(path.read_text())
+        doc["noise"] = np.ones(shape).tolist()
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InstanceFormatError, match="matrix dimension mismatch"):
+            load(path)
 
     def test_truncated_file(self, seed7_instance, tmp_path):
         path = tmp_path / "inst.json"
@@ -347,7 +437,7 @@ class TestSaveLoad:
         s = np.linalg.svd(m, compute_uv=False)
         assert s[2] / s[0] == pytest.approx(tail, rel=1e-6)
         inst = GroundTruthInstance(
-            m=m, noisy_rows=(), noise=np.zeros_like(m), n_observed=m, rank_r=2, seed=0
+            m=m, noisy_rows=(), noise_rows=np.zeros((0, 6)), rank_r=2, seed=0
         )
         path = tmp_path / "edge.json"
         save(inst, path)

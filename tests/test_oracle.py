@@ -47,7 +47,7 @@ class TestEntryQueries:
         inst = generate(GeneratorConfig(n1=6, n2=5, rank_r=1, num_noisy=1, seed=7))
         o = QueryOracle(inst)
         i = inst.noisy_rows[0]
-        assert o.query_entry(i, 3) == pytest.approx(inst.m[i, 3] + inst.noise[i, 3])
+        assert o.query_entry(i, 3) == pytest.approx(inst.m[i, 3] + inst.noise_rows[0, 3])
 
     def test_out_of_range(self):
         o = fresh_oracle()
