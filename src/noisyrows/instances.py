@@ -24,10 +24,8 @@ from .linalg import (
     CapacityError,
     RankTolerance,
     SPARSITY_ENUM_CAP,
-    column_space_basis,
     has_unit_coordinate_vector,
     numerical_rank,
-    row_space_basis,
     sparsity_number,
 )
 
@@ -263,8 +261,8 @@ def compute_profile(
             f"enumeration cap {SPARSITY_ENUM_CAP}"
         )
     clean_m = inst.m[clean, :]
-    psi_col = sparsity_number(column_space_basis(clean_m, tol))
-    psi_row = sparsity_number(row_space_basis(clean_m, tol))
+    psi_col = sparsity_number(clean_m, tol)
+    psi_row = sparsity_number(clean_m.T, tol)
     return SparsityProfile(psi_col_clean=psi_col, psi_row_clean=psi_row)
 
 

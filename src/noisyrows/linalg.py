@@ -1,6 +1,6 @@
 """Dense-matrix primitives: tolerance-based rank, invertibility, solves,
-standard-basis membership of a column space, column-basis extraction, and
-exact sparsity numbers of small subspaces.
+standard-basis membership of a column space, and exact sparsity numbers of
+the column space of a small matrix.
 
 Rank decisions go through singular values with one relative threshold
 rather than determinants, which overflow or underflow under the repeated
@@ -9,7 +9,7 @@ invertibility tests the completion algorithm performs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -146,69 +146,35 @@ def ei_in_colspace(m, i: int, tol: RankTolerance = DEFAULT_TOL) -> bool:
     return bool(unit_vectors_in_colspace(m, [i], tol)[0])
 
 
-@dataclass(frozen=True)
-class SubspaceBasis:
-    """A subspace of R^ambient_dim spanned by the columns of `vectors`."""
+def sparsity_number(m, tol: RankTolerance = DEFAULT_TOL) -> int:
+    """Sparsity number of the column space of m: the fewest nonzeros of any
+    nonzero member. The row space's is sparsity_number(m.T).
 
-    ambient_dim: int
-    vectors: np.ndarray
-    tol: RankTolerance = field(default=DEFAULT_TOL)
-
-    def __post_init__(self):
-        v = as_matrix(self.vectors)
-        object.__setattr__(self, "vectors", v)
-        if self.ambient_dim <= 0:
-            raise ValueError("ambient_dim must be positive")
-        if v.shape[0] != self.ambient_dim:
-            raise ValueError(
-                f"vectors live in R^{v.shape[0]}, expected R^{self.ambient_dim}"
-            )
-        if v.shape[1] > self.ambient_dim:
-            raise ValueError("more basis vectors than ambient dimension")
-        if numerical_rank(v, self.tol) != v.shape[1]:
-            raise ValueError("basis vectors are linearly dependent at tolerance")
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
-
-
-def column_space_basis(m, tol: RankTolerance = DEFAULT_TOL) -> SubspaceBasis:
-    """Orthonormal basis of the column space of m, extracted via one SVD."""
-    a = as_matrix(m)
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    r = int(np.count_nonzero(_above_cut(s, tol)))
-    if r == 0:
-        raise ValueError("zero matrix spans no usable column space")
-    return SubspaceBasis(ambient_dim=a.shape[0], vectors=u[:, :r], tol=tol)
-
-
-def row_space_basis(m, tol: RankTolerance = DEFAULT_TOL) -> SubspaceBasis:
-    """Orthonormal basis of the row space of m (a subspace of R^n_cols)."""
-    return column_space_basis(as_matrix(m).T, tol)
-
-
-def sparsity_number(basis: SubspaceBasis) -> int:
-    """Minimum support size over all nonzero vectors in the subspace.
-
-    Exact, by enumerating candidate zero sets in order of increasing support
-    size k: a vector with at most k nonzeros exists iff some set T of
-    ambient_dim - k coordinates makes the rows T of the basis rank deficient.
-    The answer is always found by k = ambient_dim - dim + 1.
+    Exact, by enumeration. One thin SVD gives an orthonormal basis Q (n x d)
+    of the column space, d counted with `numerical_rank`'s cut. A member
+    with at most k nonzeros exists iff some set T of n - k coordinates makes
+    Q[T] rank deficient; sets are tried in order of increasing k, and the
+    answer is found by k = n - d + 1. Q[T] is judged on Q's own scale: its
+    singular values are counted above rel_threshold times sigma_max(Q),
+    which is 1. Scaling the cut by sigma_max(Q[T]) instead would count as
+    rank the rounding the SVD leaves (about 1e-16) in rows where every
+    member vanishes, and so over-report the sparsity number.
     """
-    n = basis.ambient_dim
-    d = basis.dim
-    if d == 0:
-        raise ValueError("zero-dimensional span has no sparsity number")
+    a = as_matrix(m)
+    n = a.shape[0]
     if n > SPARSITY_ENUM_CAP:
         raise CapacityError(
             f"ambient dimension {n} exceeds enumeration cap {SPARSITY_ENUM_CAP}"
         )
-    q = basis.vectors
-    tol = basis.tol
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    q = u[:, _above_cut(s, tol)]
+    d = q.shape[1]
+    if d == 0:
+        raise ValueError("zero matrix spans no subspace, so has no sparsity number")
     for k in range(1, n - d + 2):
         for zero_set in itertools.combinations(range(n), n - k):
-            if numerical_rank(q[list(zero_set), :], tol) < d:
+            s_t = np.linalg.svd(q[list(zero_set)], compute_uv=False)
+            if np.count_nonzero(s_t > tol.rel_threshold) < d:
                 return k
     raise AssertionError("unreachable: every subspace has a member by k = n-d+1")
 

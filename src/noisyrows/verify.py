@@ -26,7 +26,6 @@ from .linalg import (
     DEFAULT_TOL,
     CapacityError,
     RankTolerance,
-    SubspaceBasis,
     as_matrix,
     numerical_rank,
 )
@@ -92,30 +91,29 @@ def ei_in_colspace_append(m, i: int, tol: RankTolerance = DEFAULT_TOL) -> bool:
     return numerical_rank(np.hstack([a, e]), tol) == numerical_rank(a, tol)
 
 
-def sparsity_number_lex(basis: SubspaceBasis) -> int:
-    """Second, independent sparsity-number enumeration.
+def sparsity_number_lex(m, tol: RankTolerance = DEFAULT_TOL) -> int:
+    """Second, independent sparsity-number enumeration of the column space of m.
 
+    Works on the rows of m itself, with no basis: a support S carries a
+    nonzero member iff the rows of m off S have lower rank than m, every
+    rank counted above rel_threshold times the largest singular value of m.
     Walks all nonempty supports in subset-lexicographic (bitmask) order and
-    keeps the smallest support that carries a nonzero member of the span,
-    whereas the primary implementation scans by cardinality with early exit.
+    keeps the smallest that carries a member, whereas the primary
+    implementation scans an orthonormal basis by cardinality with early exit.
     """
-    n = basis.ambient_dim
-    d = basis.dim
-    if d == 0:
-        raise ValueError("zero-dimensional span has no sparsity number")
+    a = as_matrix(m)
+    n = a.shape[0]
     if n > LEX_ENUM_CAP:
         raise CapacityError(f"ambient dimension {n} exceeds lex cap {LEX_ENUM_CAP}")
-    q = basis.vectors
-    tol = basis.tol
+    cut = tol.rel_threshold * max(np.linalg.svd(a, compute_uv=False), default=0.0)
+    full = np.linalg.matrix_rank(a, tol=cut)
+    if full == 0:
+        raise ValueError("zero matrix spans no subspace, so has no sparsity number")
     best = n + 1
     for mask in range(1, 2**n):
         support_size = mask.bit_count()
-        if support_size >= best:
-            continue
-        zero_rows = [i for i in range(n) if not (mask >> i) & 1]
-        sub = q[zero_rows, :]
-        rank = numerical_rank(sub, tol) if sub.size else 0
-        if rank < d:
+        off = [i for i in range(n) if not (mask >> i) & 1]
+        if support_size < best and np.linalg.matrix_rank(a[off, :], tol=cut) < full:
             best = support_size
     return best
 
