@@ -106,6 +106,8 @@ class BoundReport:
 def compute_eta(n1: int, n2: int, epsilon: float) -> int:
     """Budget of consecutive unproductive sweeps before declaring the rank
     complete: ceil(max((2 n1 / n2) ln(1/eps), ln(1/eps))), at least 1."""
+    if n1 < 1 or n2 < 1:
+        raise ValueError("dimensions must be positive")
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     level = -math.log(epsilon)

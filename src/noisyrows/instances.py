@@ -38,8 +38,9 @@ class InstanceFormatError(ValueError):
     """Raised for malformed or inconsistent instance files."""
 
 
-class GenerationError(RuntimeError):
-    """Raised when repeated draws keep violating the instance invariants."""
+class GenerationError(ValueError):
+    """Raised when repeated draws keep violating the instance invariants. A
+    ValueError, because such a configuration is a bad argument."""
 
 
 @dataclass(frozen=True)

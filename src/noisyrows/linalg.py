@@ -17,7 +17,7 @@ import numpy as np
 # above this the caller must supply the sparsity number externally.
 SPARSITY_ENUM_CAP = 22
 
-# Rows whose unit-vector residuals unit_vectors_in_colspace forms at once.
+# Rows whose unit-vector residuals _unit_vectors_in_colspace forms at once.
 _RESIDUAL_CHUNK = 128
 
 
@@ -109,31 +109,25 @@ def solve_least_squares(a, b, tol: RankTolerance = DEFAULT_TOL) -> np.ndarray:
     return vt.T @ ((u.T @ rhs) / (s if rhs.ndim == 1 else s[:, None]))
 
 
-def unit_vectors_in_colspace(m, rows, tol: RankTolerance = DEFAULT_TOL) -> np.ndarray:
-    """For each index i in `rows`, whether e_i lies in the column space of m.
+def _unit_vectors_in_colspace(a: np.ndarray, rows: range, tol: RankTolerance) -> np.ndarray:
+    """For each row index i in `rows`, whether e_i lies in the column space
+    of a: whether deleting row i drops the rank of a.
 
-    Equivalently, whether deleting row i drops the rank of m. One thin SVD
-    gives U_r, the left singular vectors above rel_threshold times the
-    largest singular value; row i is flagged when ||e_i - U_r U_r^T e_i|| is
-    at most rel_threshold. The residual is formed explicitly because
-    1 - ||U_r[i]||^2 cancels when e_i is near the span. Row indices are
-    0-based; the result is a boolean array aligned with `rows`.
+    One thin SVD gives U_r, the left singular vectors above rel_threshold
+    times the largest singular value; row i is flagged when
+    ||e_i - U_r U_r^T e_i|| is at most rel_threshold. The residual is formed
+    explicitly because 1 - ||U_r[i]||^2 cancels when e_i is near the span.
     """
-    a = as_matrix(m)
-    idx = np.asarray(rows)
-    if idx.size and (idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= a.shape[0]):
-        raise IndexError(f"row indices {rows} are not integers in [0, {a.shape[0]})")
-    idx = idx.astype(int)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     u_r = u[:, _above_cut(s, tol)]
-    flags = np.empty(idx.size, dtype=bool)
+    flags = np.empty(len(rows), dtype=bool)
     # The residuals of a chunk of rows form one n1 x chunk array, so memory
     # stays O(n1) per chunk however many rows are asked for.
-    for start in range(0, idx.size, _RESIDUAL_CHUNK):
-        chunk = idx[start:start + _RESIDUAL_CHUNK]
+    for start in range(rows.start, rows.stop, _RESIDUAL_CHUNK):
+        chunk = np.arange(start, min(start + _RESIDUAL_CHUNK, rows.stop))
         residual = -(u_r @ u_r[chunk].T)
         residual[chunk, np.arange(chunk.size)] += 1.0
-        flags[start:start + chunk.size] = np.linalg.norm(residual, axis=0) <= tol.rel_threshold
+        flags[chunk - rows.start] = np.linalg.norm(residual, axis=0) <= tol.rel_threshold
     return flags
 
 
@@ -141,9 +135,12 @@ def ei_in_colspace(m, i: int, tol: RankTolerance = DEFAULT_TOL) -> bool:
     """Whether the i-th standard basis vector lies in the column space of m.
 
     Equivalently, whether deleting row i strictly decreases the numerical
-    rank. Row indices are 0-based.
+    rank. Row indices are 0-based; any other i raises IndexError.
     """
-    return bool(unit_vectors_in_colspace(m, [i], tol)[0])
+    a = as_matrix(m)
+    if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < a.shape[0]:
+        raise IndexError(f"row index {i!r} is not an integer in [0, {a.shape[0]})")
+    return bool(_unit_vectors_in_colspace(a, range(i, i + 1), tol)[0])
 
 
 def sparsity_number(m, tol: RankTolerance = DEFAULT_TOL) -> int:
@@ -186,4 +183,4 @@ def has_unit_coordinate_vector(m, tol: RankTolerance = DEFAULT_TOL) -> bool:
     of an exponential enumeration, so usable at any scale.
     """
     a = as_matrix(m)
-    return bool(unit_vectors_in_colspace(a, range(a.shape[0]), tol).any())
+    return bool(_unit_vectors_in_colspace(a, range(a.shape[0]), tol).any())

@@ -95,10 +95,7 @@ class QueryOracle:
         self.log.append(kind, i, j, self._count)
 
     def query_entry(self, i: int, j: int) -> float:
-        self._check(i, 0)
-        self._check(j, 1)
-        self._reveal("entry", i, j, (i, j))
-        return float(self._values[i, j])
+        return float(self.query_cells([i], [j])[0])
 
     def query_row(self, i: int) -> np.ndarray:
         self._check(i, 0)
@@ -125,10 +122,10 @@ class QueryOracle:
         return self._values[r, c]
 
     def draw_random_row(self) -> int:
-        """Uniform row index from the oracle-owned generator; not a query."""
-        return int(self._rng.integers(self._values.shape[0]))
+        """One uniform row index, as `draw_random_rows(1)` draws it."""
+        return int(self.draw_random_rows(1)[0])
 
     def draw_random_rows(self, size: int) -> np.ndarray:
-        """`size` uniform row indices in one call: the same indices, in the
-        same order, as `size` successive `draw_random_row` calls."""
+        """`size` uniform row indices from the oracle-owned generator; not a query.
+        The same indices, in the same order, as `size` `draw_random_row` calls."""
         return self._rng.integers(self._values.shape[0], size=size)

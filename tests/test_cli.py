@@ -34,6 +34,14 @@ class TestGenerate:
         ])
         assert rc != 0
 
+    def test_no_valid_draw_is_an_error_line(self, tmp_path, capsys):
+        # Every draw fails the psi check: the clean space is all of R^4.
+        rc = main(["generate", "--n1", "4", "--n2", "5", "--rank", "4", "--enforce-psi",
+                   "-o", str(tmp_path / "x.json")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: no valid draw in 16 attempts: ")
+        assert not (tmp_path / "x.json").exists()
+
     def test_sparse_basis_prints_target(self, tmp_path, capsys):
         path = tmp_path / "sb.json"
         rc = main([
@@ -167,6 +175,13 @@ class TestTrials:
             return read_trial_stats_csv(out)[0].mean_queries
 
         assert mean_queries("0") != mean_queries("99")
+
+    def test_no_valid_draw_is_an_error_line(self, tmp_path, capsys):
+        rc = main(["trials", "--n1", "4", "--n2", "5", "--rank", "4", "--enforce-psi",
+                   "--trials", "2", "-o", str(tmp_path / "s.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: no valid draw in 16 attempts: ")
+        assert not (tmp_path / "s.csv").exists()
 
     def test_zero_trials_usage_error(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -43,6 +43,13 @@ class TestComputeEta:
         with pytest.raises(ValueError):
             compute_eta(4, 4, 1.0)
 
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 3)])
+    def test_empty_matrix_rejected(self, shape):
+        with pytest.raises(ValueError, match="dimensions must be positive"):
+            compute_eta(*shape, 0.1)
+        with pytest.raises(ValueError, match="dimensions must be positive"):
+            run(QueryOracle(np.zeros(shape)), PARAMS)
+
 
 class TestDiscover:
     def test_rank_one_all_ones(self):
@@ -120,22 +127,29 @@ class TestIdentifyNoisyRows:
     def test_empty_state(self):
         assert identify_noisy_rows(hand_state(np.zeros((3, 3)), [], []), PARAMS) == []
 
-    def test_one_row_far_larger_than_the_rest(self):
-        # Clean row 0 is 1e8 times the others and row 5 is noisy. The test
+    # The scales of the README's "Limits" section, with the number of its 50
+    # seeds on which row 5 becomes a pivot; the rest are the misses it counts.
+    @pytest.mark.parametrize("scale, pivots", [(1e7, 50), (1e8, 49), (3e8, 48), (1e9, 49)],
+                             ids=["1e7", "1e8", "3e8", "1e9"])
+    def test_one_row_far_larger_than_the_rest(self, scale, pivots):
+        # Clean row 0 is `scale` times the others and row 5 is noisy. The test
         # compares each row's coefficients with that row's largest, so row
-        # 0's scale cannot hide the noisy pivot.
+        # 0's scale cannot hide the noisy pivot. The reference's single
+        # global cut holds only up to 1e8.
         checked = 0
         for seed in range(50):
             rng = np.random.default_rng(seed)
             n = rng.standard_normal((30, 3)) @ rng.standard_normal((3, 30))
-            n[0] *= 1e8
+            n[0] *= scale
             n[5] += rng.standard_normal(30)
             state = discover(QueryOracle(n, rng_seed=seed), PARAMS)
             if 5 not in state.pivot_rows:
                 continue
             checked += 1
-            assert identify_noisy_rows(state, PARAMS) == [5] == oracle_noisy_rows(n), seed
-        assert checked >= 45
+            assert identify_noisy_rows(state, PARAMS) == [5], seed
+            if scale <= 1e8:
+                assert oracle_noisy_rows(n) == [5], seed
+        assert checked == pivots
 
 
 class TestRecover:
@@ -226,6 +240,24 @@ class TestRun:
             result = run(o, PARAMS)
             good += result.status == STATUS_OK and result.noisy_rows_hat == inst.noisy_rows
         assert good >= 90
+
+    def test_small_noise_passes_as_clean(self):
+        # The README's "Limits": noise of std 1e-7 on 2 rows of a 40x40, r=4
+        # matrix is below what identification resolves. Every run is ok and
+        # flags no clean row, the clean rows come back exact, and no run
+        # flags exactly the noisy rows.
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            m = rng.standard_normal((40, 4)) @ rng.standard_normal((4, 40))
+            noisy = sorted(rng.choice(40, size=2, replace=False).tolist())
+            n = m.copy()
+            n[noisy] += 1e-7 * rng.standard_normal((2, 40))
+            result = run(QueryOracle(n, rng_seed=seed + 1000), PARAMS)
+            clean = [i for i in range(40) if i not in noisy]
+            assert result.status == STATUS_OK, seed
+            assert set(result.noisy_rows_hat) <= set(noisy), seed
+            assert max_relative_error(result.recovered, m, clean) <= 1e-12, seed
+            assert list(result.noisy_rows_hat) != noisy, seed
 
     def test_basis_vector_in_column_space(self):
         # only row 0 is nonzero, so its deletion mimics a noise row

@@ -320,5 +320,5 @@ class TestQueryLog:
         o.query_entry(0, 1)
         read_block(o, [0, 1], [1, 2, 3])
         read_block(o, [0], [1])
-        assert [kind for kind, *_ in o.log.entries] == ["entry", "cells", "cells"]
+        assert [kind for kind, *_ in o.log.entries] == ["cells", "cells", "cells"]
         assert [count for *_, count in o.log.entries] == [1, 6, 6]

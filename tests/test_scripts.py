@@ -49,3 +49,23 @@ def test_decision_digest_repeats(capsys):
     line = json.loads(lines[0])
     assert (line["workload"], line["runs"], line["unique_queries"], line["successes"]) == (
         "trials", 80, 184_880, 80)
+
+
+def test_bench_record(tmp_path, monkeypatch, capsys):
+    # No bytecode is written, so the run leaves perfbench/ as it was.
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    main = script_main("bench_record.py")
+    argv = ["--label", "t", "--workload", "wide", "--seeds", "1", "--seconds", "0.1",
+            "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    doc = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert doc["label"] == "t"
+    assert len(doc["commit"]) == 40 and isinstance(doc["dirty"], bool)
+    assert doc["command"] == ["scripts/bench_record.py", *argv]
+    [run] = doc["runs"]
+    assert run["command"][1:] == ["perfbench/run.py", "--workload", "wide", "--seed", "1",
+                                  "--seconds", "0.1", "--trace", "0"]
+    assert (run["header"]["workload"], run["header"]["seed"]) == ("wide", 1)
+    assert run["result"]["correct"] is True
+    assert "ops_per_s" in run["result"]["metrics"]
+    assert f"wrote {tmp_path / 'BENCH_t.json'}" in capsys.readouterr().out
