@@ -57,8 +57,8 @@ def main(argv=None) -> int:
     for workload in args.workload:
         for seed in args.seeds:
             runs.append(record_run(workload, seed, args.seconds, args.trace))
-            print(f"{workload} seed {seed}: "
-                  f"ops_per_s={runs[-1]['result']['metrics'].get('ops_per_s')}", flush=True)
+            ops = runs[-1]["result"]["metrics"].get("ops_per_s", {}).get("value")
+            print(f"{workload} seed {seed}: ops_per_s={ops}", flush=True)
     doc = {
         "label": args.label,
         "commit": commit,
