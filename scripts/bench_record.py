@@ -25,9 +25,9 @@ def git(*args) -> str:
                           check=True).stdout.strip()
 
 
-def record_run(workload: str, seed: int, seconds: float, trace: int) -> dict:
+def record_run(workload: str, seed: int, seconds: float) -> dict:
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
-               "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+               "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(command, cwd=ROOT, capture_output=True, text=True)
     if done.returncode != 0:
         raise SystemExit(f"error: {' '.join(command)} exited {done.returncode}:\n"
@@ -44,8 +44,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", nargs="+", choices=workloads, default=workloads)
     parser.add_argument("--seeds", nargs="+", type=int, required=True)
     parser.add_argument("--seconds", type=float, default=declared["run_seconds"])
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0,
-                        help="1 records the per-layer metrics of traced runs")
     parser.add_argument("--out-dir", type=Path, default=ROOT)
     argv = sys.argv[1:] if argv is None else argv
     args = parser.parse_args(argv)
@@ -56,7 +54,7 @@ def main(argv=None) -> int:
     runs = []
     for workload in args.workload:
         for seed in args.seeds:
-            runs.append(record_run(workload, seed, args.seconds, args.trace))
+            runs.append(record_run(workload, seed, args.seconds))
             ops = runs[-1]["result"]["metrics"].get("ops_per_s", {}).get("value")
             print(f"{workload} seed {seed}: ops_per_s={ops}", flush=True)
     doc = {

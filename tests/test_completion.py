@@ -128,7 +128,10 @@ class TestIdentifyNoisyRows:
         assert identify_noisy_rows(hand_state(np.zeros((3, 3)), [], []), PARAMS) == []
 
     # The scales of the README's "Limits" section, with the number of its 50
-    # seeds on which row 5 becomes a pivot; the rest are the misses it counts.
+    # seeds on which row 5 became a pivot when measured; the rest are the
+    # misses it counts. Whether row 5 becomes a pivot can turn on the last bit
+    # of the SVD, so another BLAS may move a count by one; `[5]` on every
+    # pivoting seed is the pin.
     @pytest.mark.parametrize("scale, pivots", [(1e7, 50), (1e8, 49), (3e8, 48), (1e9, 49)],
                              ids=["1e7", "1e8", "3e8", "1e9"])
     def test_one_row_far_larger_than_the_rest(self, scale, pivots):
@@ -149,7 +152,7 @@ class TestIdentifyNoisyRows:
             assert identify_noisy_rows(state, PARAMS) == [5], seed
             if scale <= 1e8:
                 assert oracle_noisy_rows(n) == [5], seed
-        assert checked == pivots
+        assert checked >= pivots - 1
 
 
 class TestRecover:
