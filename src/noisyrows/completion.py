@@ -148,15 +148,17 @@ class _Pivots:
     come from an inverse of A taken once per acceptance. Since
     sigma_max(B) >= m = max|B|, ||Bz|| <= ||z|| m (rel_threshold -
     4 (k+1)^2 eps) fails the invertibility test, the last term leaving room
-    for its SVD's rounding. With m = f 2^e, f in [0.5, 1), the exact scale
-    2^-e makes this ||2^-e Bz||^2 <= ||z||^2 (f level)^2, on sums of squares.
-    Computing Bz errs by at most gamma_{k+1} |B| |z| (Higham, Accuracy and
-    Stability of Numerical Algorithms, 3.1), so by (k+1)^2 eps m ||z|| in
-    norm, and the level takes 5 (k+1)^2 eps off the threshold; the factor
-    1 - 2 (k+4) eps covers the rounding of the sums, products and level. A
-    level at most 2^-500 rejects only an all-zero block (its square is -1),
-    so the right-hand side is at least 2^-1002 and a square that underflows
-    is negligible. Sums that overflow or are NaN reject nothing.
+    for its SVD's rounding. m is the largest of max|A|, |v| and the running
+    maxima max|P[:, j]| and max|Q[i]| that each acceptance updates; a max
+    rounds nothing, so m is exact. With m = f 2^e, f in [0.5, 1), the exact
+    scale 2^-e makes this ||2^-e Bz||^2 <= ||z||^2 (f level)^2, on sums of
+    squares. Computing Bz errs by at most gamma_{k+1} |B| |z| (Higham,
+    Accuracy and Stability of Numerical Algorithms, 3.1), so by (k+1)^2 eps
+    m ||z|| in norm, and the level takes 5 (k+1)^2 eps off the threshold;
+    the factor 1 - 2 (k+4) eps covers the rounding of the sums, products and
+    level. A level at most 2^-500 rejects only an all-zero block (its square
+    is -1), so the right-hand side is at least 2^-1002 and a square that
+    underflows is negligible. Sums that overflow or are NaN reject nothing.
     """
 
     def __init__(self, n1: int, n2: int, tol: RankTolerance):
@@ -166,6 +168,8 @@ class _Pivots:
         # Row t of p is N[rows[t], :] and row t of q is N[:, cols[t]]; the
         # capacity of both doubles whenever an acceptance fills it.
         self.p, self.q = np.empty((1, n2)), np.empty((1, n1))
+        # max|P[:, j]| per column j and max|Q[i]| per row i.
+        self._p_max, self._q_max = np.zeros(n2), np.zeros(n1)
         self._on_pivot_row = np.zeros(n1, dtype=bool)
         self._set_block(np.empty((0, 0)), np.empty((0, 0)))
 
@@ -185,6 +189,8 @@ class _Pivots:
             self.p = np.vstack([self.p, np.empty_like(self.p)])
             self.q = np.vstack([self.q, np.empty_like(self.q)])
         self.p[k], self.q[k] = row, col
+        np.maximum(self._p_max, np.abs(row), out=self._p_max)
+        np.maximum(self._q_max, np.abs(col), out=self._q_max)
         self.rows.append(i)
         self.cols.append(j)
         self._on_pivot_row[i] = True
@@ -195,10 +201,10 @@ class _Pivots:
         bound shows that the bordered block fails `is_invertible`. A bound
         whose sums overflow or are NaN rejects nothing."""
         k = len(self.rows)
-        # P[:, j] and Q[i]^T; take lays them out row-major, which the reductions need.
+        # P[:, j] and Q[i]^T; take lays them out row-major, which the einsums need.
         p, q = self.p[:k].take(j, axis=1), self.q[:k].take(i, axis=1)
-        max_b = np.maximum(np.abs(p).max(axis=0, initial=self._a_max), np.abs(v))
-        max_b = np.maximum(max_b, np.abs(q).max(axis=0, initial=0.0))
+        max_b = np.maximum(np.maximum(self._p_max[j], self._q_max[i]), np.abs(v))
+        np.maximum(max_b, self._a_max, out=max_b)
         f, e = np.frexp(max_b)  # max_b = f 2^e, f in [0.5, 1)
         with np.errstate(over="ignore", invalid="ignore"):
             w = self._a_inv @ p
@@ -256,9 +262,10 @@ def discover(oracle: QueryOracle, params: CompletionParams) -> DiscoveryState:
         values = oracle.query_cells(probe_rows, probe_cols)
         # Most sweeps accept nothing, so a sweep is first decided whole.
         # After an acceptance the rest is decided in windows that double
-        # while none is accepted: the probes an acceptance leaves decided
-        # against stale pivots are at most as many as it took to reach it.
-        start, width = 0, probe_cols.size
+        # while none is accepted. Deciding restarts one past the acceptance,
+        # with the next gap guessed from the last one: the first window is
+        # as long as the stretch from the previous restart to the acceptance.
+        resumed, start, width = 0, 0, probe_cols.size
         while start < probe_cols.size:
             stop = start + width
             t = pivots.first_accepted(
@@ -274,7 +281,8 @@ def discover(oracle: QueryOracle, params: CompletionParams) -> DiscoveryState:
             pivots.accept(i, j, values[t], row, col)
             unclaimed[j] = False
             stale = 0
-            start, width = t + 1, 1
+            start, width = t + 1, t + 1 - resumed
+            resumed = start
     k = len(pivots.rows)
     return DiscoveryState(
         pivot_rows=pivots.rows,

@@ -199,7 +199,8 @@ def _draw_candidate(
     rng = np.random.default_rng(np.random.SeedSequence([config.seed & (2**64 - 1), attempt]))
     n1, n2, r, g = config.n1, config.n2, config.rank_r, config.num_noisy
     gamma = tuple(sorted(rng.choice(n1, size=g, replace=False).tolist())) if g else ()
-    clean = [i for i in range(n1) if i not in set(gamma)]
+    noisy = set(gamma)
+    clean = [i for i in range(n1) if i not in noisy]
 
     if config.mode == "gaussian":
         left = rng.standard_normal((n1, r))

@@ -46,8 +46,10 @@ class QueryOracle:
             values = source.n_observed
         else:
             values = as_matrix(source)
-        self._values = values
-        self._mask = np.zeros(values.shape, dtype=bool)
+        # In C order, cell (i, j) is entry i * n2 + j of the flat values and
+        # of the mask of observed cells.
+        self._values = np.ascontiguousarray(values)
+        self._mask = np.zeros(values.size, dtype=bool)
         self._count = 0
         self._rng = np.random.default_rng(rng_seed)
         self.log = QueryLog()
@@ -62,7 +64,7 @@ class QueryOracle:
 
     @property
     def observed_mask(self) -> np.ndarray:
-        return self._mask.copy()
+        return self._mask.reshape(self._values.shape).copy()
 
     def _check(self, i: int, axis: int) -> None:
         # numpy reads a bool index as a mask, so True must not pass as 1.
@@ -71,7 +73,7 @@ class QueryOracle:
             raise IndexError(f"{_AXES[axis]} index {i!r} is not an integer in [0, {n})")
 
     def _check_all(self, indices, axis: int) -> np.ndarray:
-        """A 1-D sequence of in-range integer indices, as an integer array."""
+        """A 1-D sequence of in-range integer indices, as an intp array."""
         a = np.asarray(indices)
         if a.ndim != 1:
             raise IndexError(f"{_AXES[axis]} indices must form a 1-D sequence")
@@ -81,12 +83,12 @@ class QueryOracle:
         # float and bool arrays.
         self._check(a.min(), axis)
         self._check(a.max(), axis)
-        return a
+        return a.astype(np.intp, copy=False)
 
     def _reveal(self, kind: str, i: int | None, j: int | None, cells) -> None:
         """Mark `cells` observed, count those not seen before, log one event.
 
-        `cells` indexes the mask and must name each cell at most once.
+        `cells` indexes the flat mask and must name each cell at most once.
         """
         fresh = int(np.count_nonzero(~self._mask[cells]))
         if fresh:
@@ -99,12 +101,13 @@ class QueryOracle:
 
     def query_row(self, i: int) -> np.ndarray:
         self._check(i, 0)
-        self._reveal("row", i, None, (i, slice(None)))
+        start = int(i) * self._values.shape[1]
+        self._reveal("row", i, None, slice(start, start + self._values.shape[1]))
         return self._values[i, :].copy()
 
     def query_column(self, j: int) -> np.ndarray:
         self._check(j, 1)
-        self._reveal("column", None, j, (slice(None), j))
+        self._reveal("column", None, j, slice(int(j), None, self._values.shape[1]))
         return self._values[:, j].copy()
 
     def query_cells(self, rows, cols) -> np.ndarray:
@@ -117,9 +120,10 @@ class QueryOracle:
         c = self._check_all(cols, 1)
         if r.shape != c.shape:
             raise IndexError(f"{r.size} row indices do not pair with {c.size} column indices")
-        cells = _distinct(np.ravel_multi_index((r, c), self._values.shape))
-        self._reveal("cells", None, None, np.unravel_index(cells, self._values.shape))
-        return self._values[r, c]
+        cells = r * self._values.shape[1] + c
+        # Only the cells not seen before need sorting.
+        self._reveal("cells", None, None, _distinct(cells[~self._mask[cells]]))
+        return self._values.take(cells)
 
     def draw_random_row(self) -> int:
         """One uniform row index, as `draw_random_rows(1)` draws it."""

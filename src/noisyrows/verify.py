@@ -188,8 +188,9 @@ def max_relative_error(recovered: np.ndarray, truth: np.ndarray, rows: list[int]
     entry magnitude there (per-entry ratios blow up near zero entries)."""
     if not rows:
         return 0.0
-    diff = np.abs(recovered[rows, :] - truth[rows, :])
-    scale = max(float(np.max(np.abs(truth[rows, :]))), 1e-30)
+    truth = truth[rows, :]
+    diff = np.abs(recovered[rows, :] - truth)
+    scale = max(float(np.max(np.abs(truth))), 1e-30)
     worst = float(np.max(diff))
     return worst / scale if np.isfinite(worst) else float("inf")
 

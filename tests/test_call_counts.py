@@ -6,7 +6,8 @@ read loop fails here whatever the machine's speed. The wrappers are
 installed by monkeypatching, as the benchmark's tracer does: the three phase
 functions as `run` calls them mark the phase, and every `np.linalg` SVD,
 least-squares, solve and inverse call, every `is_invertible` call as
-`completion` makes it, and every `QueryOracle` read or draw is counted
+`completion` makes it, every call of discovery's filter `_Pivots.rejects`,
+and every `QueryOracle` read or draw is counted
 against the phase it happens in, with the cells each read is passed
 (repeats included) and the rows each draw makes. Anything in `run`
 outside the three phases counts under "run".
@@ -17,7 +18,8 @@ Ceilings, with k pivots of an n1 x n2 matrix and S sweeps
   discover   at most k invertibility tests and k SVDs (one per acceptance),
              at most k inverses (one per acceptance), no solve, exactly k
              row and k column reads, one cell read per sweep, no entry
-             reads, and exactly k (n1 + n2) + P cells read
+             reads, exactly k (n1 + n2) + P cells read, and at most the
+             filter calls measured for the case (REJECTS)
   identify   exactly 1 inverse (of the pivot block), and no SVD, solve,
              decision or oracle call
   recover    at most 1 SVD, no inverse and no oracle call; no SVD either
@@ -88,6 +90,8 @@ def counted_run(monkeypatch, oracle):
             mp.setattr(np.linalg, name, counter(name, getattr(np.linalg, name)))
         for name in DECISIONS:
             mp.setattr(completion, name, counter(name, getattr(completion, name)))
+        mp.setattr(completion._Pivots, "rejects",
+                   counter("rejects", completion._Pivots.rejects))
         for name, cells in READS.items():
             mp.setattr(QueryOracle, name,
                        counter(name, getattr(QueryOracle, name), "cells", cells))
@@ -118,6 +122,13 @@ WORKLOAD_CASES = [
                            target_psi=5, seed=10100001), 10150001),
 ]
 
+# Filter calls in discovery per case, as measured: a sweep's first window
+# and the windows that follow each acceptance. S + 2k does not bound them:
+# pinned-3 makes 19 calls in S = 8 sweeps with k = 5.
+REJECTS = {"pinned-0": 14, "pinned-1": 16, "pinned-2": 40, "pinned-3": 19,
+           "precondition": 8, "square": 28, "wide": 44, "trials-gaussian": 24,
+           "trials-sparse": 25}
+
 # (observed-matrix factory, oracle seed) of each case.
 CASES = (
     [pytest.param(_instance_matrix(config), seed, id=f"pinned-{k}")
@@ -129,7 +140,7 @@ CASES = (
 
 
 @pytest.mark.parametrize("make_matrix, oracle_seed", CASES)
-def test_each_decision_once(monkeypatch, make_matrix, oracle_seed):
+def test_each_decision_once(monkeypatch, request, make_matrix, oracle_seed):
     oracle = QueryOracle(make_matrix(), rng_seed=oracle_seed)
     result, counts = counted_run(monkeypatch, oracle)
     k = len(result.pivot_cols)
@@ -150,6 +161,7 @@ def test_each_decision_once(monkeypatch, make_matrix, oracle_seed):
     assert found["query_entry"] == 0
     assert found["lstsq"] == 0
     assert found["cells"] == k * (n1 + n2) + found["probes"]
+    assert found["rejects"] <= REJECTS[request.node.callspec.id]
 
     # Identification and recovery work from what discovery revealed.
     assert counts["identify"] == Counter(inv=1)

@@ -94,6 +94,25 @@ def test_same_decisions_as_probe_loop(source, oracle_seed):
     assert new.unique_query_count == old.unique_query_count
 
 
+@pytest.mark.parametrize("source, oracle_seed", SOURCES)
+def test_running_maxima_are_those_of_the_pivots(monkeypatch, source, oracle_seed):
+    # The filter's max|B| reads these maxima; a max rounds nothing, so they
+    # must equal the reductions of the pivot buffers bit for bit.
+    accepted = []
+    accept = _Pivots.accept
+
+    def checked(pivots, *args):
+        accept(pivots, *args)
+        k = len(pivots.rows)
+        np.testing.assert_array_equal(pivots._p_max, np.abs(pivots.p[:k]).max(axis=0))
+        np.testing.assert_array_equal(pivots._q_max, np.abs(pivots.q[:k]).max(axis=0))
+        accepted.append(k)
+
+    monkeypatch.setattr(_Pivots, "accept", checked)
+    state = discover(QueryOracle(source, oracle_seed), PARAMS)
+    assert accepted == list(range(1, state.rank_estimate + 1))
+
+
 def test_probes_read_as_one_cells_event_per_sweep():
     inst = generate(GeneratorConfig(n1=20, n2=15, rank_r=3, num_noisy=1, seed=3))
     o = QueryOracle(inst, rng_seed=4)

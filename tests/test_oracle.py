@@ -163,6 +163,22 @@ class TestCellQueries:
         rows, cols = [3, 0, 2, 3], [4, 1, 1, 0]
         np.testing.assert_array_equal(o.query_cells(rows, cols), values[rows, cols])
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int16])
+    def test_narrow_indices_on_a_fortran_order_matrix(self, dtype):
+        # Cell (127, 127) lies at flat index 127 * 300 + 127, past the range
+        # of each dtype, and the matrix is not laid out in C order.
+        values = np.asfortranarray(np.arange(128 * 300, dtype=float).reshape(128, 300))
+        o = QueryOracle(values)
+        rows, cols = [127, 5, 127], [127, 3, 127]
+        np.testing.assert_array_equal(
+            o.query_cells(np.array(rows, dtype), np.array(cols, dtype)), values[rows, cols])
+        np.testing.assert_array_equal(o.query_row(dtype(127)), values[127, :])
+        np.testing.assert_array_equal(o.query_column(dtype(127)), values[:, 127])
+        expected = np.zeros(values.shape, dtype=bool)
+        expected[127, :] = expected[:, 127] = expected[5, 3] = True
+        np.testing.assert_array_equal(o.observed_mask, expected)
+        assert o.unique_query_count == expected.sum()
+
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 4)), max_size=30))
     def test_count_and_mask_equal_entry_reads(self, cells):
