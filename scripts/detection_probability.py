@@ -14,7 +14,6 @@ import argparse
 import csv
 import sys
 
-from noisyrows.completion import DiscoveryState
 from noisyrows.instances import GeneratorConfig, compute_profile, generate
 from noisyrows.verify import estimate_detection_probability
 
@@ -43,10 +42,8 @@ def main(argv=None) -> int:
     for k, config in enumerate(FIXTURES):
         inst = generate(config)
         psi_u = compute_profile(inst).psi_col_clean
-        state = DiscoveryState(pivot_rows=[], pivot_cols=[],
-                               stale_passes=0, pass_budget=1)
         est = estimate_detection_probability(
-            inst, state, probes=args.probes, seed=args.seed + k
+            inst, [], [], probes=args.probes, seed=args.seed + k
         )
         lower = psi_u / config.n1
         refined = (config.num_noisy + psi_u) / config.n1

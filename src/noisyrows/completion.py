@@ -76,8 +76,8 @@ class DiscoveryState:
     pivot_cols: list[int]
     stale_passes: int
     pass_budget: int
-    row_values: np.ndarray | None = field(default=None, compare=False, repr=False)
-    col_values: np.ndarray | None = field(default=None, compare=False, repr=False)
+    row_values: np.ndarray = field(compare=False, repr=False)
+    col_values: np.ndarray = field(compare=False, repr=False)
 
     @property
     def rank_estimate(self) -> int:
@@ -298,8 +298,11 @@ def identify_noisy_rows(state: DiscoveryState, params: CompletionParams) -> list
     """Flag the pivot rows whose deletion drops the rank of N[:, C]: pivot t
     when no other row i has |S[i, t]| above rel_threshold max|S[i, :]|, with
     S = N[:, C] A^-1 and A = N[R, C] the block discovery certified."""
-    # S = N[:, C] A^-1 is the identity on the pivot rows R.
-    s = np.abs(state.col_values @ np.linalg.inv(state.row_values[:, state.pivot_cols]))
+    # S = N[:, C] A^-1 is the identity on the pivot rows R. Both factors are
+    # scaled by the exact 2^-e of max|A| = f 2^e, so the inverse of a tiny A cannot overflow.
+    a = state.row_values[:, state.pivot_cols]
+    _, e = np.frexp(np.abs(a).max(initial=0.0))
+    s = np.abs(np.ldexp(state.col_values, -e) @ np.linalg.inv(np.ldexp(a, -e)))
     s[state.pivot_rows] = 0.0
     flags = (s <= params.tol.rel_threshold * s.max(axis=1, keepdims=True, initial=0.0)).all(axis=0)
     return sorted(i for i, flagged in zip(state.pivot_rows, flags) if flagged)

@@ -17,7 +17,6 @@ import numpy as np
 from .completion import (
     STATUS_OK,
     CompletionParams,
-    DiscoveryState,
     query_budget,
 )
 from .completion import run as run_completion
@@ -38,8 +37,12 @@ ORACLE_SEED_OFFSET = 10_000
 
 
 def oracle_noisy_rows(n_full, tol: RankTolerance = DEFAULT_TOL) -> list[int]:
-    """Rows whose deletion strictly drops the rank of the full matrix."""
+    """Rows whose deletion strictly drops the rank of the full matrix: those
+    whose e_i lies in the column space, which no row scaling changes. Each
+    row is first scaled by an exact power of two to a largest entry in
+    [0.5, 1), so a far larger row cannot hide the rest under the rank cut."""
     a = as_matrix(n_full)
+    a = np.ldexp(a, -np.frexp(np.abs(a).max(axis=1, keepdims=True, initial=0.0))[1])
     full = numerical_rank(a, tol)
     return [
         i
@@ -261,50 +264,46 @@ def estimate_success_rate(
 
 
 def next_useful_column(
-    inst: GroundTruthInstance, state: DiscoveryState, tol: RankTolerance = DEFAULT_TOL
+    inst: GroundTruthInstance, cols: list[int], tol: RankTolerance = DEFAULT_TOL
 ) -> int:
-    """Lowest column outside the discovered set that still extends the
-    column space (ground-truth side; discovery itself never sees this)."""
+    """Lowest column outside `cols` that still extends their column space
+    (ground-truth side; discovery itself never sees this)."""
     n_obs = inst.n_observed
-    claimed = list(state.pivot_cols)
-    base = numerical_rank(n_obs[:, claimed], tol) if claimed else 0
+    base = numerical_rank(n_obs[:, cols], tol)
     for j in range(inst.n2):
-        if j in claimed:
-            continue
-        if numerical_rank(n_obs[:, claimed + [j]], tol) > base:
+        if j not in cols and numerical_rank(n_obs[:, cols + [j]], tol) > base:
             return j
     raise ValueError("no useful column left: discovery already complete")
 
 
 def estimate_detection_probability(
     inst: GroundTruthInstance,
-    state: DiscoveryState,
+    rows: list[int],
+    cols: list[int],
     probes: int,
     seed: int = 0,
     tol: RankTolerance = DEFAULT_TOL,
 ) -> float:
-    """Monte Carlo per-probe success frequency from a fixed mid-discovery state.
+    """Monte Carlo per-probe success frequency from a fixed mid-discovery
+    state, the pivot rows `rows` and columns `cols`.
 
     Each probe draws a uniform random row and tests whether bordering the
     pivot submatrix with (row, next useful column) stays invertible, exactly
-    the acceptance test discovery applies.
+    the acceptance test discovery applies. The column is fixed, so a probe's
+    outcome depends only on its row: each distinct drawn row is tested once.
     """
     if probes < 1:
         raise ValueError("probes must be positive")
-    rank_full = numerical_rank(inst.n_observed, tol)
-    if state.rank_estimate >= rank_full:
-        raise ValueError("state must be mid-discovery (rank estimate below full rank)")
-    j = next_useful_column(inst, state, tol)
-    n_obs = inst.n_observed
-    rows = list(state.pivot_rows)
-    cols = list(state.pivot_cols) + [j]
-    rng = np.random.default_rng(seed)
-    hits = 0
-    for _ in range(probes):
-        i = int(rng.integers(inst.n1))
-        if i in rows:
-            continue
-        sub = n_obs[np.ix_(rows + [i], cols)]
-        if numerical_rank(sub, tol) == len(cols):
-            hits += 1
+    if len(rows) >= numerical_rank(inst.n_observed, tol):
+        raise ValueError("state must be mid-discovery (fewer pivots than the full rank)")
+    cols = cols + [next_useful_column(inst, cols, tol)]
+    drawn, counts = np.unique(
+        np.random.default_rng(seed).integers(inst.n1, size=probes), return_counts=True
+    )
+    hits = sum(
+        count
+        for i, count in zip(drawn.tolist(), counts.tolist())
+        if i not in rows
+        and numerical_rank(inst.n_observed[np.ix_(rows + [i], cols)], tol) == len(cols)
+    )
     return hits / probes

@@ -12,7 +12,6 @@ import pytest
 from noisyrows.cli import main as cli_main
 from noisyrows.completion import (
     CompletionParams,
-    DiscoveryState,
     compute_eta,
     discover,
     identify_noisy_rows,
@@ -187,16 +186,12 @@ def test_criterion_5_detection_probability_bound():
         inst = generate(cfg)
         psi_u = compute_profile(inst).psi_col_clean
         if k % 2 == 0 or cfg.rank_r + cfg.num_noisy < 2:
-            state = DiscoveryState(pivot_rows=[], pivot_cols=[],
-                                   stale_passes=0, pass_budget=1)
+            rows, cols = [], []
         else:
             full = discover(QueryOracle(inst, rng_seed=97),
                             CompletionParams(epsilon=0.01))
-            state = DiscoveryState(pivot_rows=full.pivot_rows[:1],
-                                   pivot_cols=full.pivot_cols[:1],
-                                   stale_passes=0,
-                                   pass_budget=full.pass_budget)
-        est = estimate_detection_probability(inst, state, probes=probes, seed=100 + k)
+            rows, cols = full.pivot_rows[:1], full.pivot_cols[:1]
+        est = estimate_detection_probability(inst, rows, cols, probes=probes, seed=100 + k)
         se = math.sqrt(max(est * (1 - est), 0.25 / probes) / probes)
         ok = est >= psi_u / cfg.n1 - 3 * se
         holds += ok

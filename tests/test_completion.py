@@ -137,8 +137,8 @@ class TestIdentifyNoisyRows:
     def test_one_row_far_larger_than_the_rest(self, scale, pivots):
         # Clean row 0 is `scale` times the others and row 5 is noisy. The test
         # compares each row's coefficients with that row's largest, so row
-        # 0's scale cannot hide the noisy pivot. The reference's single
-        # global cut holds only up to 1e8.
+        # 0's scale cannot hide the noisy pivot, and the reference scales
+        # each row before its rank tests.
         checked = 0
         for seed in range(50):
             rng = np.random.default_rng(seed)
@@ -150,8 +150,7 @@ class TestIdentifyNoisyRows:
                 continue
             checked += 1
             assert identify_noisy_rows(state, PARAMS) == [5], seed
-            if scale <= 1e8:
-                assert oracle_noisy_rows(n) == [5], seed
+            assert oracle_noisy_rows(n) == [5], seed
         assert checked >= pivots - 1
 
 
@@ -502,6 +501,22 @@ class TestScaleEquivariance:
                 base.status, base.noisy_rows_hat, base.pivot_rows,
                 base.pivot_cols, base.query_count)
             np.testing.assert_array_equal(scaled.recovered, base.recovered * scale)
+
+    # The README's "Limits": near the ends of the exponent range a run still
+    # makes the unscaled run's decisions, and its clean rows, scaled back,
+    # hold to 1e-8 though subnormal entries have lost bits.
+    @pytest.mark.parametrize("e", [-1040, -1022, -1020, 1000, 1018])
+    def test_extreme_exponents(self, e):
+        for seed in range(20):
+            inst = generate(GeneratorConfig(n1=40, n2=40, rank_r=4, num_noisy=3, seed=seed))
+            base = run(QueryOracle(inst.n_observed, rng_seed=seed + 7), PARAMS)
+            scaled = run(QueryOracle(np.ldexp(inst.n_observed, e), rng_seed=seed + 7), PARAMS)
+            assert (scaled.status, scaled.noisy_rows_hat, scaled.pivot_rows,
+                    scaled.pivot_cols, scaled.query_count) == (
+                base.status, base.noisy_rows_hat, base.pivot_rows,
+                base.pivot_cols, base.query_count), seed
+            clean = list(inst.clean_rows)
+            assert max_relative_error(np.ldexp(scaled.recovered, -e), inst.m, clean) <= 1e-8, seed
 
 
 class TestQueryBudget:

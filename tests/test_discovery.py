@@ -33,6 +33,8 @@ def probe_loop_discover(oracle: QueryOracle, params: CompletionParams) -> Discov
     budget = compute_eta(n1, n2, params.epsilon)
     rows: list[int] = []
     cols: list[int] = []
+    row_values: list[np.ndarray] = []
+    col_values: list[np.ndarray] = []
     stale = 0
     while stale < budget:
         stale += 1
@@ -46,8 +48,8 @@ def probe_loop_discover(oracle: QueryOracle, params: CompletionParams) -> Discov
                 continue
             candidate = read_block(oracle, rows + [i], cols + [j])
             if is_invertible(candidate, params.tol):
-                oracle.query_column(j)
-                oracle.query_row(i)
+                col_values.append(oracle.query_column(j))
+                row_values.append(oracle.query_row(i))
                 rows.append(i)
                 cols.append(j)
                 claimed.add(j)
@@ -57,6 +59,8 @@ def probe_loop_discover(oracle: QueryOracle, params: CompletionParams) -> Discov
         pivot_cols=cols,
         stale_passes=stale,
         pass_budget=budget,
+        row_values=np.array(row_values).reshape(len(rows), n2),
+        col_values=np.array(col_values).reshape(len(cols), n1).T,
     )
 
 

@@ -27,15 +27,20 @@ def test_success_rate_sweep(tmp_path, capsys):
 
 
 def test_detection_probability(tmp_path, capsys):
+    # The default run, 10,000 probes from seed 0, pinned row for row.
     out = tmp_path / "detection.csv"
     main = script_main("detection_probability.py")
-    assert main(["--probes", "50", "-o", str(out)]) == 0
-    rows = read_csv(out)
-    assert rows[0] == ["n1", "n2", "r", "omega", "psi_u",
-                       "estimate", "lower_bound", "refined_value"]
-    assert len(rows) == 1 + 7
-    for row in rows[1:]:
-        assert 0.0 <= float(row[5]) <= 1.0
+    assert main(["-o", str(out)]) == 0
+    assert read_csv(out) == [
+        ["n1", "n2", "r", "omega", "psi_u", "estimate", "lower_bound", "refined_value"],
+        ["10", "8", "1", "2", "8", "1.0", "0.8", "1.0"],
+        ["12", "8", "2", "1", "3", "0.5847", "0.25", "0.3333333333333333"],
+        ["12", "9", "3", "0", "4", "1.0", "0.3333333333333333", "0.3333333333333333"],
+        ["9", "8", "2", "1", "7", "1.0", "0.7777777777777778", "0.8888888888888888"],
+        ["11", "10", "3", "2", "7", "1.0", "0.6363636363636364", "0.8181818181818182"],
+        ["10", "9", "2", "0", "5", "1.0", "0.5", "0.5"],
+        ["12", "11", "1", "3", "9", "1.0", "0.75", "1.0"],
+    ]
     assert "estimate=" in capsys.readouterr().out
 
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noisyrows.completion import CompletionParams, DiscoveryState, discover
+from noisyrows import verify
+from noisyrows.completion import CompletionParams, discover
 from noisyrows.instances import GeneratorConfig, generate
 from noisyrows.linalg import (
     CapacityError,
@@ -271,18 +272,12 @@ class TestGenericPsiProfile:
             assert profile.psi_row_clean == psi_v
 
 
-def empty_state():
-    return DiscoveryState(
-        pivot_rows=[], pivot_cols=[], stale_passes=0, pass_budget=1
-    )
-
-
 class TestDetectionProbability:
     def test_dense_span_matches_formula(self):
         # rank one with dense factors: every row detects, estimate near
         # (noisy + psi_u) / n1 which is exactly 1 here
         inst = generate(GeneratorConfig(n1=10, n2=8, rank_r=1, num_noisy=2, seed=6))
-        est = estimate_detection_probability(inst, empty_state(), probes=4000, seed=0)
+        est = estimate_detection_probability(inst, [], [], probes=4000, seed=0)
         psi_u = (10 - 2) - 1 + 1
         expected = (2 + psi_u) / 10
         se = max(np.sqrt(est * (1 - est) / 4000), 1e-6)
@@ -295,7 +290,7 @@ class TestDetectionProbability:
                 target_psi=3, seed=2,
             )
         )
-        est = estimate_detection_probability(inst, empty_state(), probes=4000, seed=1)
+        est = estimate_detection_probability(inst, [], [], probes=4000, seed=1)
         se = np.sqrt(max(est * (1 - est), 0.25 / 4000) / 4000)
         assert est >= 3 / 12 - 3 * se
 
@@ -304,21 +299,33 @@ class TestDetectionProbability:
         o = QueryOracle(inst, rng_seed=0)
         full_state = discover(o, PARAMS)
         assert full_state.rank_estimate == 4
-        mid = DiscoveryState(
-            pivot_rows=full_state.pivot_rows[:2],
-            pivot_cols=full_state.pivot_cols[:2],
-            stale_passes=0,
-            pass_budget=full_state.pass_budget,
+        est = estimate_detection_probability(
+            inst, full_state.pivot_rows[:2], full_state.pivot_cols[:2], probes=4000, seed=3
         )
-        est = estimate_detection_probability(inst, mid, probes=4000, seed=3)
         psi_u = (9 - 1) - 3 + 1
         se = np.sqrt(max(est * (1 - est), 0.25 / 4000) / 4000)
         assert est >= psi_u / 9 - 3 * se
 
+    def test_each_drawn_row_tested_once(self, monkeypatch):
+        # A probe's outcome depends only on its row, so 4000 probes on 9 rows
+        # make at most 9 bordered-block rank tests (3 x 3 from 2 pivots).
+        inst = generate(GeneratorConfig(n1=9, n2=8, rank_r=3, num_noisy=1, seed=8))
+        state = discover(QueryOracle(inst, rng_seed=0), PARAMS)
+        rows, cols = state.pivot_rows[:2], state.pivot_cols[:2]
+        shapes = []
+
+        def counted(m, tol):
+            shapes.append(np.shape(m))
+            return numerical_rank(m, tol)
+
+        monkeypatch.setattr(verify, "numerical_rank", counted)
+        estimate_detection_probability(inst, rows, cols, probes=4000, seed=3)
+        assert 0 < shapes.count((3, 3)) <= inst.n1
+
     def test_zero_probes_rejected(self):
         inst = generate(GeneratorConfig(n1=6, n2=5, rank_r=1, num_noisy=1, seed=7))
         with pytest.raises(ValueError):
-            estimate_detection_probability(inst, empty_state(), probes=0)
+            estimate_detection_probability(inst, [], [], probes=0)
 
     def test_complete_state_rejected(self):
         inst = generate(GeneratorConfig(n1=6, n2=5, rank_r=1, num_noisy=1, seed=7))
@@ -326,9 +333,11 @@ class TestDetectionProbability:
         state = discover(o, PARAMS)
         assert state.rank_estimate == 2
         with pytest.raises(ValueError):
-            estimate_detection_probability(inst, state, probes=10)
+            estimate_detection_probability(
+                inst, state.pivot_rows, state.pivot_cols, probes=10
+            )
 
     def test_next_useful_column_extends_rank(self):
         inst = generate(GeneratorConfig(n1=8, n2=6, rank_r=2, num_noisy=1, seed=4))
-        j = next_useful_column(inst, empty_state())
+        j = next_useful_column(inst, [])
         assert numerical_rank(inst.n_observed[:, [j]]) == 1
