@@ -9,15 +9,15 @@ rows and columns are kept as the oracle returns them, in buffers each
 acceptance grows in place, so no probe re-reads its block. A residual bound,
 sigma_min of the bordered block against its largest entry, rejects almost
 every probe without an SVD: it multiplies the probes' pivot-row entries by
-an inverse of the pivot block, taken once per acceptance. Only where it
+the pivot block's inverse, taken once per acceptance. Only where it
 cannot reject does the invertibility test run, on the block assembled from
 those pivots; the bound rejects nothing that test would accept. A pass
 budget of consecutive unproductive sweeps decides when the rank is complete.
 
-Phases 2 and 3 work from the pivot rows and columns discovery revealed,
-and read no cell. Phase 2 (identification) flags the pivot rows that no
-other row draws on in the interpolation matrix S = N[:, C] A^-1 of the
-certified pivot block A = N[R, C]: deleting such a row drops the rank of
+Phases 2 and 3 work from what discovery revealed and read no cell. Phase
+2 (identification) flags the pivot rows that no other row draws on in the
+interpolation matrix S = N[:, C] A^-1, formed with discovery's inverse of
+the certified pivot block A = N[R, C]: deleting such a row drops the rank of
 the pivot columns. A corrupted row is independent of everything else, so
 none draws on it; a clean row can only mimic that when the clean column
 space contains a standard basis vector, which the precondition excludes.
@@ -68,9 +68,10 @@ class CompletionParams:
 
 @dataclass
 class DiscoveryState:
-    """Index sets and counters carried across discovery sweeps, and the
-    cells discovery revealed: the pivot rows N[R, :] (k x n2) and columns
-    N[:, C] (n1 x k). Equality and repr are about the decisions only."""
+    """Index sets and counters carried across discovery sweeps, the pivot
+    rows N[R, :] (k x n2) and columns N[:, C] (n1 x k) discovery revealed,
+    and its inverse of the pivot block N[R, C] at the scale `_Pivots` sets.
+    Equality and repr are about the decisions only."""
 
     pivot_rows: list[int]
     pivot_cols: list[int]
@@ -78,6 +79,7 @@ class DiscoveryState:
     pass_budget: int
     row_values: np.ndarray = field(compare=False, repr=False)
     col_values: np.ndarray = field(compare=False, repr=False)
+    pivot_inverse: np.ndarray = field(compare=False, repr=False)
 
     @property
     def rank_estimate(self) -> int:
@@ -145,7 +147,9 @@ class _Pivots:
     A probe (i, j) with value v borders the pivot block A = P[:, C] into
     B = [[A, P[:, j]], [Q[i], v]]. With w = A^-1 P[:, j] and z = [-w; 1],
     sigma_min(B) <= ||Bz|| / ||z|| whatever rounding w carries, so w may
-    come from an inverse of A taken once per acceptance. Since
+    come from one inverse per acceptance, of 2^-a A with max|A| = g 2^a and
+    g in [0.5, 1), finite however tiny A is; w and P[:, j] - A w are formed
+    from 2^-a P[:, j] and 2^-a A, exact scalings. Since
     sigma_max(B) >= m = max|B|, ||Bz|| <= ||z|| m (rel_threshold -
     4 (k+1)^2 eps) fails the invertibility test, the last term leaving room
     for its SVD's rounding. m is the largest of max|A|, |v| and the running
@@ -171,12 +175,14 @@ class _Pivots:
         # max|P[:, j]| per column j and max|Q[i]| per row i.
         self._p_max, self._q_max = np.zeros(n2), np.zeros(n1)
         self._on_pivot_row = np.zeros(n1, dtype=bool)
-        self._set_block(np.empty((0, 0)), np.empty((0, 0)))
+        self._set_block(np.empty((0, 0)))
 
-    def _set_block(self, a: np.ndarray, a_inv: np.ndarray) -> None:
+    def _set_block(self, a: np.ndarray) -> None:
         k = a.shape[0]
-        self._a, self._a_inv = a, a_inv
-        self._a_max = np.abs(a).max(initial=0.0)
+        self._a, self._a_max = a, np.abs(a).max(initial=0.0)
+        self._a_exp = np.frexp(self._a_max)[1]
+        self._a_scaled = np.ldexp(a, -self._a_exp)
+        self.a_inv = np.linalg.inv(self._a_scaled) if k else a  # 0 x 0: its own inverse
         level = (self._tol.rel_threshold - 5 * (k + 1) ** 2 * _EPS) * (1 - 2 * (k + 4) * _EPS)
         self._level_sq = level * level if level > 2.0**-500 else -1.0
 
@@ -194,7 +200,7 @@ class _Pivots:
         self.rows.append(i)
         self.cols.append(j)
         self._on_pivot_row[i] = True
-        self._set_block(a, np.linalg.inv(a))
+        self._set_block(a)
 
     def rejects(self, i: np.ndarray, j: np.ndarray, v: np.ndarray) -> np.ndarray:
         """For each probe (i[t], j[t]) with value v[t], whether the residual
@@ -207,8 +213,9 @@ class _Pivots:
         np.maximum(max_b, self._a_max, out=max_b)
         f, e = np.frexp(max_b)  # max_b = f 2^e, f in [0.5, 1)
         with np.errstate(over="ignore", invalid="ignore"):
-            w = self._a_inv @ p
-            top = np.ldexp(p - self._a @ w, -e)
+            p = np.ldexp(p, -self._a_exp)
+            w = self.a_inv @ p
+            top = np.ldexp(p - self._a_scaled @ w, self._a_exp - e)
             bottom = np.ldexp(v - np.einsum("ij,ij->j", q, w), -e)
             residual = np.einsum("ij,ij->j", top, top) + bottom * bottom
             limit = (1.0 + np.einsum("ij,ij->j", w, w)) * (f * f * self._level_sq)
@@ -291,18 +298,18 @@ def discover(oracle: QueryOracle, params: CompletionParams) -> DiscoveryState:
         pass_budget=budget,
         row_values=pivots.p[:k],
         col_values=pivots.q[:k].T,
+        pivot_inverse=pivots.a_inv,
     )
 
 
 def identify_noisy_rows(state: DiscoveryState, params: CompletionParams) -> list[int]:
     """Flag the pivot rows whose deletion drops the rank of N[:, C]: pivot t
     when no other row i has |S[i, t]| above rel_threshold max|S[i, :]|, with
-    S = N[:, C] A^-1 and A = N[R, C] the block discovery certified."""
-    # S = N[:, C] A^-1 is the identity on the pivot rows R. Both factors are
-    # scaled by the exact 2^-e of max|A| = f 2^e, so the inverse of a tiny A cannot overflow.
-    a = state.row_values[:, state.pivot_cols]
-    _, e = np.frexp(np.abs(a).max(initial=0.0))
-    s = np.abs(np.ldexp(state.col_values, -e) @ np.linalg.inv(np.ldexp(a, -e)))
+    S = N[:, C] A^-1 and A = N[R, C] the block discovery certified. Each row
+    of N[:, C] is scaled to a largest entry in [0.5, 1), so S comes out with
+    exact power-of-two row scales: no row overflows, and no flag changes."""
+    _, e = np.frexp(np.abs(state.col_values).max(axis=1, keepdims=True, initial=0.0))
+    s = np.abs(np.ldexp(state.col_values, -e) @ state.pivot_inverse)
     s[state.pivot_rows] = 0.0
     flags = (s <= params.tol.rel_threshold * s.max(axis=1, keepdims=True, initial=0.0)).all(axis=0)
     return sorted(i for i, flagged in zip(state.pivot_rows, flags) if flagged)

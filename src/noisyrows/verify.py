@@ -188,14 +188,16 @@ def generic_psi_profile(config: GeneratorConfig) -> tuple[int, int]:
 
 def max_relative_error(recovered: np.ndarray, truth: np.ndarray, rows: list[int]) -> float:
     """Largest entry deviation on the given rows, relative to the largest
-    entry magnitude there (per-entry ratios blow up near zero entries)."""
+    entry magnitude there (per-entry ratios blow up near zero entries). An
+    exact match reads 0.0, and any error against an all-zero truth inf."""
     if not rows:
         return 0.0
     truth = truth[rows, :]
-    diff = np.abs(recovered[rows, :] - truth)
-    scale = max(float(np.max(np.abs(truth))), 1e-30)
-    worst = float(np.max(diff))
-    return worst / scale if np.isfinite(worst) else float("inf")
+    worst = float(np.max(np.abs(recovered[rows, :] - truth)))
+    scale = float(np.max(np.abs(truth)))
+    if scale > 0.0 and np.isfinite(worst):
+        return worst / scale
+    return float("inf") if worst else 0.0
 
 
 def evaluate_trial(

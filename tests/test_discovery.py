@@ -54,13 +54,15 @@ def probe_loop_discover(oracle: QueryOracle, params: CompletionParams) -> Discov
                 cols.append(j)
                 claimed.add(j)
                 stale = 0
+    row_block = np.array(row_values).reshape(len(rows), n2)
     return DiscoveryState(
         pivot_rows=rows,
         pivot_cols=cols,
         stale_passes=stale,
         pass_budget=budget,
-        row_values=np.array(row_values).reshape(len(rows), n2),
+        row_values=row_block,
         col_values=np.array(col_values).reshape(len(cols), n1).T,
+        pivot_inverse=np.linalg.inv(row_block[:, cols]),
     )
 
 
@@ -258,7 +260,7 @@ def test_inverse_is_accurate(monkeypatch, config, oracle_seed):
 
     def checked(pivots, *args):
         accept(pivots, *args)
-        a, a_inv = pivots._a, pivots._a_inv
+        a, a_inv = pivots._a_scaled, pivots.a_inv
         k = a.shape[0]
         error = np.linalg.norm(a_inv @ a - np.eye(k), 2)
         ratios.append(error / (k * np.linalg.cond(a) * eps))

@@ -54,6 +54,7 @@ def test_decision_digest_repeats(capsys):
     line = json.loads(lines[0])
     assert (line["workload"], line["runs"], line["unique_queries"], line["successes"]) == (
         "trials", 80, 184_880, 80)
+    assert line["decisions"] == "0e41ddfeb28bc7f6cd586c1459ef11c268e223e44165801ca3550a9efaa97506"
 
 
 def test_bench_record(tmp_path, monkeypatch, capsys):

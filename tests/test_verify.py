@@ -22,6 +22,7 @@ from noisyrows.verify import (
     estimate_success_rate,
     evaluate_trial,
     generic_psi_profile,
+    max_relative_error,
     next_useful_column,
     oracle_exact_rank,
     oracle_noisy_rows,
@@ -204,6 +205,22 @@ class TestTrialStats:
             "n1,n2,r,omega,psi_u,epsilon,trials,successes,mean_queries,"
             "proof_bound,bound_violations"
         ]
+
+
+class TestMaxRelativeError:
+    def test_relative_to_the_truth_at_any_scale(self):
+        # A 100% error reads 1.0 however small the matrix is.
+        truth = np.full((3, 3), 1e-40)
+        assert max_relative_error(2 * truth, truth, [0, 1, 2]) == 1.0
+
+    def test_all_zero_truth(self):
+        zeros = np.zeros((2, 3))
+        assert max_relative_error(zeros, zeros, [0, 1]) == 0.0
+        assert max_relative_error(np.full((2, 3), 1e-300), zeros, [0, 1]) == float("inf")
+
+    def test_nan_reads_inf(self):
+        truth = np.ones((2, 2))
+        assert max_relative_error(np.full((2, 2), np.nan), truth, [1]) == float("inf")
 
 
 class TestSuccessRate:
