@@ -9,18 +9,22 @@ rows and columns are kept as the oracle returns them, in buffers each
 acceptance grows in place, so no probe re-reads its block. A residual bound,
 sigma_min of the bordered block against its largest entry, rejects almost
 every probe without an SVD: it multiplies the probes' pivot-row entries by
-the pivot block's inverse, taken once per acceptance. Only where it
-cannot reject does the invertibility test run, on the block assembled from
-those pivots; the bound rejects nothing that test would accept. A pass
-budget of consecutive unproductive sweeps decides when the rank is complete.
+the pivot block's inverse, which each acceptance borders in O(k^2) rather
+than recomputes. Only where it cannot reject does the invertibility test
+run, on the block assembled from those pivots; the bound rejects nothing
+that test would accept. The test is handed the bordered inverse, whose
+residual certificate accepts without an SVD wherever it can vouch that the
+SVD would. A pass budget of consecutive unproductive sweeps decides when
+the rank is complete.
 
 Phases 2 and 3 work from what discovery revealed and read no cell. Phase
 2 (identification) flags the pivot rows that no other row draws on in the
 interpolation matrix S = N[:, C] A^-1, formed with discovery's inverse of
-the certified pivot block A = N[R, C]: deleting such a row drops the rank of
-the pivot columns. A corrupted row is independent of everything else, so
-none draws on it; a clean row can only mimic that when the clean column
-space contains a standard basis vector, which the precondition excludes.
+the certified pivot block A = N[R, C], taken once when discovery ends:
+deleting such a row drops the rank of the pivot columns. A corrupted row
+is independent of everything else, so none draws on it; a clean row can
+only mimic that when the clean column space contains a standard basis
+vector, which the precondition excludes.
 
 Phase 3 (recovery) solves every column against the pivot columns on the
 surviving clean pivot rows in one minimum-norm solve, exact because those
@@ -44,6 +48,7 @@ from .linalg import (
     DEFAULT_TOL,
     DegenerateSystemError,
     RankTolerance,
+    inverse_residual,
     is_invertible,
     solve_least_squares,
 )
@@ -70,7 +75,7 @@ class CompletionParams:
 class DiscoveryState:
     """Index sets and counters carried across discovery sweeps, the pivot
     rows N[R, :] (k x n2) and columns N[:, C] (n1 x k) discovery revealed,
-    and its inverse of the pivot block N[R, C] at the scale `_Pivots` sets.
+    and one inversion of the pivot block N[R, C] at the scale `_Pivots` sets.
     Equality and repr are about the decisions only."""
 
     pivot_rows: list[int]
@@ -139,6 +144,23 @@ def _result(
     )
 
 
+def _accurate(residual: float, b_norm: float, x_norm: float, n: int) -> bool:
+    """Whether an approximate inverse X of an invertible n x n block B,
+    with ||fl(XB) - I||_F = residual (`inverse_residual`), is as accurate
+    as one inversion of B: ||fl(XB) - I||_2 <= n eps kappa_2(B).
+
+    kappa_2(B) is bounded below by what is at hand. XB = I + E with
+    ||E||_2 <= lam = residual + gamma_n ||X||_F ||B||_F, so ||X||_2 <=
+    (1 + lam) ||B^-1||_2; with ||M||_2 >= ||M||_F / sqrt(n) for both B and
+    X, n kappa_2(B) >= ||X||_F ||B||_F / (1 + lam). So residual (1 + lam)
+    <= eps ||X||_F ||B||_F suffices; the factor 1 - (n^2 + 8) eps covers
+    the rounding of the norms. A non-finite X is not accurate.
+    """
+    norms = b_norm * x_norm
+    lam = residual + 2.0 * n * _EPS * norms
+    return math.isfinite(norms) and residual * (1.0 + lam) <= _EPS * norms * (1.0 - (n * n + 8) * _EPS)
+
+
 class _Pivots:
     """The pivot rows P = N[R, :] and columns Q = N[:, C] as the oracle
     returned them, grown in place by each acceptance, and the test that
@@ -163,6 +185,25 @@ class _Pivots:
     level. A level at most 2^-500 rejects only an all-zero block (its square
     is -1), so the right-hand side is at least 2^-1002 and a square that
     underflows is negligible. Sums that overflow or are NaN reject nothing.
+    Where v - Q[i] w overflows, as at 2^1018, it is formed again from 2^-e v
+    and 2^-e Q[i], the probe's own exact scale.
+
+    Each acceptance keeps the inverse current by bordering. With X_A the
+    held inverse of 2^-a A, the probe's block scaled by its own 2^-e has
+    2^(e-a) X_A as the inverse of its A block, an exact scaling. With
+    w = 2^(e-a) X_A 2^-e P[:, j], u = 2^-e Q[i] 2^(e-a) X_A and Schur
+    complement s = 2^-e v - 2^-e Q[i] w, X = [[2^(e-a) X_A + w u / s,
+    -w / s], [-u / s, 1 / s]] approximates (2^-e B)^-1 in O(k^2). The
+    invertibility test gets 2^-e B and X, so its residual certificate can
+    vouch for B without an SVD; where it cannot, its SVD decides, on the
+    exactly scaled block. The certificate measures whatever error bordering
+    accumulated, so the decisions are the SVD's either way. On acceptance X
+    becomes the held inverse if its left residual is as small as one
+    inversion leaves (`_accurate`), so drift never accumulates; else
+    one Newton step X - (XB - I) X, which squares that residual, and
+    failing that one `np.linalg.inv`. A zero s or an overflowing scale
+    makes X non-finite, which neither the certificate nor the accuracy test
+    accepts, and no warning escapes.
     """
 
     def __init__(self, n1: int, n2: int, tol: RankTolerance):
@@ -175,21 +216,46 @@ class _Pivots:
         # max|P[:, j]| per column j and max|Q[i]| per row i.
         self._p_max, self._q_max = np.zeros(n2), np.zeros(n1)
         self._on_pivot_row = np.zeros(n1, dtype=bool)
-        self._set_block(np.empty((0, 0)))
+        # The pivot block A, max|A| = g 2^a, 2^-a A and its inverse; the
+        # 0 x 0 block is its own inverse.
+        self._a = self._a_scaled = self.a_inv = np.empty((0, 0))
+        self._a_max, self._a_exp = 0.0, 0
+        self._set_level(0)
+        self._last = None  # the last probe bordered, and its bordering
 
-    def _set_block(self, a: np.ndarray) -> None:
-        k = a.shape[0]
-        self._a, self._a_max = a, np.abs(a).max(initial=0.0)
-        self._a_exp = np.frexp(self._a_max)[1]
-        self._a_scaled = np.ldexp(a, -self._a_exp)
-        self.a_inv = np.linalg.inv(self._a_scaled) if k else a  # 0 x 0: its own inverse
+    def _set_level(self, k: int) -> None:
         level = (self._tol.rel_threshold - 5 * (k + 1) ** 2 * _EPS) * (1 - 2 * (k + 4) * _EPS)
         self._level_sq = level * level if level > 2.0**-500 else -1.0
+
+    def _bordered(self, i: int, j: int, v: float) -> tuple:
+        """(B, max|B|, e, 2^-e B, X, L, accurate) for the probe (i, j) with
+        value v: its bordered block B, with max|B| = f 2^e and f in
+        [0.5, 1), the held inverse bordered into an approximation X of
+        (2^-e B)^-1, and X's left residual fl(X 2^-e B) - I and accuracy
+        (`_accurate`). The last probe's is kept for `accept`."""
+        if self._last is not None and self._last[0] == (i, j, v):
+            return self._last[1]
+        k = len(self.rows)
+        b = self.block(i, j, v)
+        b_max = max(self._a_max, self._p_max[j], self._q_max[i], abs(v))
+        e = math.frexp(b_max)[1]
+        b_hat = np.ldexp(b, -e)
+        x = np.zeros((k + 1, k + 1))
+        with np.errstate(all="ignore"):
+            np.ldexp(self.a_inv, e - self._a_exp, out=x[:k, :k])
+            z, y = x @ b_hat[:, k], b_hat[k] @ x  # [w; 0] and [u, 0]
+            z[k] = y[k] = -1.0
+            x += z[:, None] * (y / -(b_hat[k] @ z))  # 1 / s = -1 / (b_hat[k] z)
+            left, *norms = inverse_residual(b_hat, x)
+        bordered = (b, b_max, e, b_hat, x, left, _accurate(*norms, k + 1))
+        self._last = ((i, j, v), bordered)
+        return bordered
 
     def accept(self, i: int, j: int, v: float, row: np.ndarray, col: np.ndarray) -> None:
         """Make the probe (i, j) with value v a pivot, given its full row
         N[i, :] and column N[:, j]: the bordered block becomes A."""
-        a = self.block(i, j, v)
+        b, b_max, e, b_hat, x, left, accurate = self._bordered(i, j, v)
+        self._last = None
         k = len(self.rows)
         if k == self.p.shape[0]:
             self.p = np.vstack([self.p, np.empty_like(self.p)])
@@ -200,7 +266,13 @@ class _Pivots:
         self.rows.append(i)
         self.cols.append(j)
         self._on_pivot_row[i] = True
-        self._set_block(a)
+        if not accurate:
+            with np.errstate(all="ignore"):
+                x = x - left @ x
+                if not _accurate(*inverse_residual(b_hat, x)[1:], k + 1):
+                    x = np.linalg.inv(b_hat)
+        self._a, self._a_max, self._a_exp, self._a_scaled, self.a_inv = b, b_max, e, b_hat, x
+        self._set_level(k + 1)
 
     def rejects(self, i: np.ndarray, j: np.ndarray, v: np.ndarray) -> np.ndarray:
         """For each probe (i[t], j[t]) with value v[t], whether the residual
@@ -217,6 +289,12 @@ class _Pivots:
             w = self.a_inv @ p
             top = np.ldexp(p - self._a_scaled @ w, self._a_exp - e)
             bottom = np.ldexp(v - np.einsum("ij,ij->j", q, w), -e)
+            if not math.isfinite(bottom @ bottom):
+                # Some v - Q[i] w overflowed: form it at the probe's own 2^-e.
+                redo = np.flatnonzero(~np.isfinite(bottom))
+                scale = -e[redo]
+                bottom[redo] = np.ldexp(v[redo], scale) - np.einsum(
+                    "ij,ij->j", np.ldexp(q[:, redo], scale), w[:, redo])
             residual = np.einsum("ij,ij->j", top, top) + bottom * bottom
             limit = (1.0 + np.einsum("ij,ij->j", w, w)) * (f * f * self._level_sq)
             return np.isfinite(limit) & (residual <= limit)
@@ -236,13 +314,14 @@ class _Pivots:
         `is_invertible`, or None. A probe on a pivot row cannot border the
         block into a square one, so a window of only such probes accepts
         nothing; the residual bound rejects most others, and the rest get
-        the full test."""
+        the full test, handed their bordered inverse for its certificate."""
         open_ = np.flatnonzero(~self._on_pivot_row[i])
         if not open_.size:
             return None
         open_ = open_[~self.rejects(i[open_], j[open_], v[open_])]
         for t in open_:
-            if is_invertible(self.block(i[t], j[t], v[t]), self._tol):
+            b_hat, x = self._bordered(i[t], j[t], v[t])[3:5]
+            if is_invertible(b_hat, self._tol, x):
                 return int(t)
         return None
 
@@ -291,6 +370,8 @@ def discover(oracle: QueryOracle, params: CompletionParams) -> DiscoveryState:
             start, width = t + 1, t + 1 - resumed
             resumed = start
     k = len(pivots.rows)
+    # Identification's fixed cut can sit within the rounding S carries, so
+    # it reads one inversion of the final block, not the bordered inverse.
     return DiscoveryState(
         pivot_rows=pivots.rows,
         pivot_cols=pivots.cols,
@@ -298,7 +379,7 @@ def discover(oracle: QueryOracle, params: CompletionParams) -> DiscoveryState:
         pass_budget=budget,
         row_values=pivots.p[:k],
         col_values=pivots.q[:k].T,
-        pivot_inverse=pivots.a_inv,
+        pivot_inverse=np.linalg.inv(pivots._a_scaled),
     )
 
 

@@ -9,6 +9,7 @@ invertibility tests the completion algorithm performs.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,8 @@ SPARSITY_ENUM_CAP = 22
 
 # Rows whose unit-vector residuals _unit_vectors_in_colspace forms at once.
 _RESIDUAL_CHUNK = 128
+
+_EPS = float(np.finfo(float).eps)
 
 
 class DegenerateSystemError(ValueError):
@@ -74,12 +77,51 @@ def numerical_rank(m, tol: RankTolerance = DEFAULT_TOL) -> int:
     return int(np.count_nonzero(_above_cut(s, tol)))
 
 
-def is_invertible(m, tol: RankTolerance = DEFAULT_TOL) -> bool:
-    """True iff the square matrix has full numerical rank."""
+def inverse_residual(m: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, float, float, float]:
+    """(R, ||R||_F, ||m||_F, ||X||_F) for a square float matrix m and an
+    approximate inverse X, with R = fl(X m) - I. Under `np.errstate` what
+    overflows comes out inf or NaN with no warning; callers set it."""
+    r = x @ m
+    r.ravel()[:: m.shape[0] + 1] -= 1.0
+    return r, math.sqrt(np.vdot(r, r)), math.sqrt(np.vdot(m, m)), math.sqrt(np.vdot(x, x))
+
+
+def is_invertible(m, tol: RankTolerance = DEFAULT_TOL, inverse=None) -> bool:
+    """True iff the square matrix has full numerical rank.
+
+    With `inverse`, an approximate inverse X of the n x n matrix B = m, a
+    residual certificate decides first and returns True with no SVD when
+    it can vouch for B. Let E = XB - I and rho = ||fl(XB) - I||_F +
+    gamma_n ||X||_F ||B||_F, which bounds ||E||_2: forming XB errs by at
+    most gamma_n |X| |B| (Higham, Accuracy and Stability of Numerical
+    Algorithms, 3.5). If rho < 1, B is invertible with B^-1 = (I + E)^-1 X,
+    so sigma_min(B) >= (1 - rho) / ||X||_F, while sigma_max(B) <= ||B||_F:
+    sigma_min / sigma_max is at least (1 - rho) / (||X||_F ||B||_F). The
+    certificate vouches when that clears rel_threshold + 5 n^2 eps (1 +
+    rel_threshold). The SVD's singular values are within 4 n^2 eps
+    sigma_max of the exact ones, the margin discovery's filter also leaves,
+    so the SVD would accept too: the certificate changes no decision. The
+    rest of the margin, and the factor 1 + (n^2 + 8) eps, cover the
+    rounding of the sums of squares, square roots and products that form
+    the test. A residual or norm that overflows or is NaN vouches for
+    nothing, and no warning escapes. (A verified-inverse check: Rump,
+    "Verification methods", Acta Numerica 2010.) Otherwise, or with no
+    `inverse`, the SVD decides.
+    """
     a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
+    n = a.shape[0]
+    if n != a.shape[1]:
         raise ValueError(f"invertibility requires a square matrix, got {a.shape}")
-    return numerical_rank(a, tol) == a.shape[0]
+    if inverse is not None:
+        with np.errstate(all="ignore"):
+            _, residual, a_norm, x_norm = inverse_residual(a, np.asarray(inverse, dtype=float))
+        slack = 1.0 + (n * n + 8) * _EPS
+        norms = a_norm * x_norm * slack
+        rho = residual * slack + 2.0 * n * _EPS * norms
+        cut = tol.rel_threshold + 5 * n * n * _EPS * (1.0 + tol.rel_threshold)
+        if rho < 1.0 and 1.0 - rho > cut * norms * slack:
+            return True
+    return numerical_rank(a, tol) == n
 
 
 def solve_least_squares(a, b, tol: RankTolerance = DEFAULT_TOL) -> np.ndarray:

@@ -15,11 +15,13 @@ outside the three phases counts under "run".
 Ceilings, with k pivots of an n1 x n2 matrix and S sweeps
 (`draw_random_rows` calls) of P probes in all:
   run        no SVD, solve, inverse, decision or oracle call at all
-  discover   at most k invertibility tests and k SVDs (one per acceptance),
-             at most k inverses (one per acceptance), no solve, exactly k
-             row and k column reads, one cell read per sweep, no entry
-             reads, exactly k (n1 + n2) + P cells read, and at most the
-             filter calls measured for the case (REJECTS)
+  discover   at most k invertibility tests, no SVD (the residual
+             certificate vouches for every acceptance of these cases),
+             exactly one inverse (of the final pivot block, for
+             identification), no solve, exactly k row and k column reads,
+             one cell read per sweep, no entry reads, exactly
+             k (n1 + n2) + P cells read, and at most the filter calls
+             measured for the case (REJECTS)
   identify   no inverse (it reads discovery's), SVD, solve, decision or
              oracle call at all
   recover    at most 1 SVD, no inverse and no oracle call; no SVD either
@@ -152,8 +154,8 @@ def test_each_decision_once(monkeypatch, request, make_matrix, oracle_seed):
     found = counts["discover"]
     sweeps = found["draw_random_rows"]
     assert found["is_invertible"] <= k
-    assert found["svd"] <= k
-    assert found["inv"] <= k
+    assert found["svd"] == 0
+    assert found["inv"] == 1
     assert found["solve"] == 0
     assert found["query_row"] == k
     assert found["query_column"] == k

@@ -1,9 +1,13 @@
 """Discovery decides probes from its cached pivots: a residual bound rejects
-most of them, and the rest get the full invertibility test. These tests pin
-that the bound never rejects a block the full test accepts, that the inverse
-it multiplies by is accurate, that discovery makes exactly the decisions
-of the per-probe loop it replaced, and that the pivot rows and columns it
-passes on are the cells the oracle revealed."""
+most of them, and the rest get the full invertibility test, whose residual
+certificate vouches for most without an SVD. These tests pin that the bound
+never rejects a block the full test accepts, that the certificate never
+accepts one the SVD rejects, that the inverse it multiplies by is accurate,
+that discovery makes exactly the decisions of the per-probe loop it
+replaced, and that the pivot rows and columns it passes on are the cells
+the oracle revealed."""
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +21,8 @@ from noisyrows.completion import (
     discover,
 )
 from noisyrows.instances import GeneratorConfig, generate
-from noisyrows.linalg import RankTolerance, is_invertible
+from noisyrows import linalg
+from noisyrows.linalg import RankTolerance, is_invertible, numerical_rank
 from noisyrows.oracle import QueryOracle
 from test_call_counts import CASES, WORKLOAD_CASES
 from test_completion import PINNED_RUNS
@@ -175,6 +180,74 @@ def test_filter_never_rejects_an_invertible_block(
                                               np.array([block[k, k]]))
     if rejected[0]:
         assert not is_invertible(block, tol)
+
+
+def _near_singular_block(k, log_cond, log_scale, log_threshold, delta, near_threshold, seed):
+    """(B, tol): the (k+1) x (k+1) blocks of the filter's soundness test."""
+    if near_threshold is not None:
+        delta = min(1.0, 10.0 ** (log_threshold + near_threshold))
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    w, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    a = (u * np.logspace(0.0, -log_cond, k)) @ w.T
+    x, y = rng.standard_normal(k), rng.standard_normal(k)
+    v = x @ np.linalg.solve(a, y) if k else 0.0
+    largest = max(np.abs(a).max(initial=0.0), np.abs(x).max(initial=0.0),
+                  np.abs(y).max(initial=0.0), abs(v), 1.0)
+    v += delta * largest * rng.choice([-1.0, 1.0])
+    block = np.block([[a, y[:, None]], [x[None, :], np.array([[v]])]])
+    return block * 10.0**log_scale, RankTolerance(10.0**log_threshold)
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    k=st.integers(0, 35),
+    log_cond=st.floats(0.0, 9.0),
+    log_scale=st.floats(-150.0, 150.0),
+    log_threshold=st.floats(-14.0, -1.0),
+    delta=st.one_of(st.just(0.0), st.floats(-17.0, 0.0).map(lambda e: 10.0**e)),
+    near_threshold=st.one_of(st.none(), st.floats(-3.0, 3.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_certificate_never_accepts_what_the_svd_rejects(
+    k, log_cond, log_scale, log_threshold, delta, near_threshold, seed
+):
+    # The filter's blocks, handed to `is_invertible` with the bordered
+    # inverse discovery gives it. Whenever the certificate alone accepts,
+    # with no SVD, the SVD reports full rank, at the scale discovery tests
+    # and at the block's own.
+    block, tol = _near_singular_block(k, log_cond, log_scale, log_threshold, delta,
+                                      near_threshold, seed)
+    b_hat, x = _pivots_of(block, tol)._bordered(k, k, block[k, k])[3:5]
+    svds = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "numerical_rank", lambda *args: svds.append(args) or numerical_rank(*args))
+        accepted = is_invertible(b_hat, tol, x)
+    if accepted and not svds:
+        assert numerical_rank(b_hat, tol) == numerical_rank(block, tol) == k + 1
+
+
+@pytest.mark.parametrize("drift, refreshed", [(0.0, 0), (1e-3, 1)])
+def test_an_undecided_certificate_falls_through_to_the_svd(monkeypatch, drift, refreshed):
+    # A probe 20 rel_threshold from singular: the certificate cannot vouch
+    # for it, so the SVD decides, and accepts. On acceptance the bordered
+    # inverse is kept while it is as accurate as one inversion; bordered
+    # from a held inverse that drifted, it is not, and one `inv` refreshes it.
+    block, tol = _near_singular_block(6, 0.0, 0.0, -9.0, 0.0, 1.3, 8)
+    pivots = _pivots_of(block, tol)
+    pivots.a_inv = pivots.a_inv * (1.0 + drift)
+    calls = Counter()
+    for name in ("svd", "inv"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, name=name, fn=fn, **kw: calls.update([name]) or fn(*a, **kw))
+    assert pivots.first_accepted(np.array([6]), np.array([6]), np.array([block[6, 6]])) == 0
+    assert calls == Counter(svd=1)
+    pivots.accept(6, 6, block[6, 6], block[6], block[:, 6])
+    assert calls == Counter(svd=1, inv=refreshed)
+    a, a_inv = pivots._a_scaled, pivots.a_inv
+    error = np.linalg.norm(a_inv @ a - np.eye(7), 2)
+    assert error <= 7 * np.linalg.cond(a) * np.finfo(float).eps
 
 
 # A warning here would reach the benchmark's stderr, which must stay empty.

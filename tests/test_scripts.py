@@ -44,17 +44,27 @@ def test_detection_probability(tmp_path, capsys):
     assert "estimate=" in capsys.readouterr().out
 
 
+# Seed 101 of each workload: (runs, unique queries, successes, digest).
+DIGESTS = {
+    "square": (24, 310_980, 24,
+               "c90e9053c7fc9fe06117ec2646c9b707d237310e735e7d7c2069172914d3d309"),
+    "wide": (8, 533_829, 8,
+             "d7cb5afaf9a9e82d7011847530e257397bc14e616bad54593ee24b640e7d5b88"),
+    "trials": (80, 184_880, 80,
+               "0e41ddfeb28bc7f6cd586c1459ef11c268e223e44165801ca3550a9efaa97506"),
+}
+
+
 def test_decision_digest_repeats(capsys):
     main = script_main("decision_digest.py")
-    lines = []
+    outputs = []
     for _ in range(2):
-        assert main(["--workload", "trials", "--seeds", "101"]) == 0
-        lines.append(capsys.readouterr().out)
-    assert lines[0] == lines[1]
-    line = json.loads(lines[0])
-    assert (line["workload"], line["runs"], line["unique_queries"], line["successes"]) == (
-        "trials", 80, 184_880, 80)
-    assert line["decisions"] == "0e41ddfeb28bc7f6cd586c1459ef11c268e223e44165801ca3550a9efaa97506"
+        assert main(["--seeds", "101"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    lines = [json.loads(line) for line in outputs[0].splitlines()]
+    assert {line["workload"]: (line["runs"], line["unique_queries"], line["successes"],
+                               line["decisions"]) for line in lines} == DIGESTS
 
 
 def test_bench_record(tmp_path, monkeypatch, capsys):
