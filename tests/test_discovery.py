@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from noisyrows import linalg
 from noisyrows.completion import (
     CompletionParams,
     DiscoveryState,
@@ -21,7 +22,6 @@ from noisyrows.completion import (
     discover,
 )
 from noisyrows.instances import GeneratorConfig, generate
-from noisyrows import linalg
 from noisyrows.linalg import RankTolerance, is_invertible, numerical_rank
 from noisyrows.oracle import QueryOracle
 from test_call_counts import CASES, WORKLOAD_CASES
@@ -221,7 +221,8 @@ def test_certificate_never_accepts_what_the_svd_rejects(
     b_hat, x = _pivots_of(block, tol)._bordered(k, k, block[k, k])[3:5]
     svds = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "numerical_rank", lambda *args: svds.append(args) or numerical_rank(*args))
+        mp.setattr(linalg, "numerical_rank",
+                   lambda *args: svds.append(args) or numerical_rank(*args))
         accepted = is_invertible(b_hat, tol, x)
     if accepted and not svds:
         assert numerical_rank(b_hat, tol) == numerical_rank(block, tol) == k + 1
@@ -237,10 +238,12 @@ def test_an_undecided_certificate_falls_through_to_the_svd(monkeypatch, drift, r
     pivots = _pivots_of(block, tol)
     pivots.a_inv = pivots.a_inv * (1.0 + drift)
     calls = Counter()
+
+    def counted(name, fn):
+        return lambda *args, **kwargs: calls.update([name]) or fn(*args, **kwargs)
+
     for name in ("svd", "inv"):
-        fn = getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name,
-                            lambda *a, name=name, fn=fn, **kw: calls.update([name]) or fn(*a, **kw))
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     assert pivots.first_accepted(np.array([6]), np.array([6]), np.array([block[6, 6]])) == 0
     assert calls == Counter(svd=1)
     pivots.accept(6, 6, block[6, 6], block[6], block[:, 6])
