@@ -169,9 +169,10 @@ class _Pivots:
     A probe (i, j) with value v borders the pivot block A = P[:, C] into
     B = [[A, P[:, j]], [Q[i], v]]. With w = A^-1 P[:, j] and z = [-w; 1],
     sigma_min(B) <= ||Bz|| / ||z|| whatever rounding w carries, so w may
-    come from one inverse per acceptance, of 2^-a A with max|A| = g 2^a and
-    g in [0.5, 1), finite however tiny A is; w and P[:, j] - A w are formed
-    from 2^-a P[:, j] and 2^-a A, exact scalings. Since
+    come from the held inverse (bordered at each acceptance, below) of
+    2^-a A with max|A| = g 2^a and g in [0.5, 1), finite however tiny A
+    is; w and P[:, j] - A w are formed from 2^-a P[:, j] and 2^-a A, exact
+    scalings. Since
     sigma_max(B) >= m = max|B|, ||Bz|| <= ||z|| m (rel_threshold -
     4 (k+1)^2 eps) fails the invertibility test, the last term leaving room
     for its SVD's rounding. m is the largest of max|A|, |v| and the running
