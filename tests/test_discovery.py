@@ -230,8 +230,9 @@ def test_certificate_never_accepts_what_the_svd_rejects(
 
 @pytest.mark.parametrize("drift, refreshed", [(0.0, 0), (1e-3, 1)])
 def test_an_undecided_certificate_falls_through_to_the_svd(monkeypatch, drift, refreshed):
-    # A probe 20 rel_threshold from singular: the certificate cannot vouch
-    # for it, so the SVD decides, and accepts. On acceptance the bordered
+    # A probe whose block has sigma_min / sigma_max just above the cut (1.09
+    # rel_threshold): the certificate's bound reads 0.87 of its cut, so it
+    # cannot vouch, and the SVD decides, and accepts. On acceptance the bordered
     # inverse is kept while it is as accurate as one inversion; bordered
     # from a held inverse that drifted, it is not, and one `inv` refreshes it.
     block, tol = _near_singular_block(6, 0.0, 0.0, -9.0, 0.0, 1.3, 8)
