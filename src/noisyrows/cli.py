@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -100,9 +101,10 @@ def _result_json(result, proof_bound: float, stated_bound: float, max_rel_error)
         "query_count": result.query_count,
         "proof_bound": proof_bound,
         "stated_bound": stated_bound,
-        "max_rel_error": max_rel_error,
+        # Strict JSON has no Infinity: a non-finite error is written as null.
+        "max_rel_error": max_rel_error if math.isfinite(max_rel_error) else None,
     }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def cmd_run(args) -> int:

@@ -211,8 +211,10 @@ class _Pivots:
         self.rows: list[int] = []
         self.cols: list[int] = []
         self._tol = tol
-        # Row t of p is N[rows[t], :] and row t of q is N[:, cols[t]]; the
-        # capacity of both doubles whenever an acceptance fills it.
+        # Row t of p is N[rows[t], :] and row t of q is N[:, cols[t]]. An
+        # acceptance that fills them regrows both to min(2k, n1, n2) rows,
+        # copying the k filled ones; k = n1 leaves no probe off a pivot row
+        # and k = n2 no unclaimed column, so a buffer at min(n1, n2) is final.
         self.p, self.q = np.empty((1, n2)), np.empty((1, n1))
         # max|P[:, j]| per column j and max|Q[i]| per row i.
         self._p_max, self._q_max = np.zeros(n2), np.zeros(n1)
@@ -258,9 +260,11 @@ class _Pivots:
         b, b_max, e, b_hat, x, left, accurate = self._bordered(i, j, v)
         self._last = None
         k = len(self.rows)
-        if k == self.p.shape[0]:
-            self.p = np.vstack([self.p, np.empty_like(self.p)])
-            self.q = np.vstack([self.q, np.empty_like(self.q)])
+        if k == len(self.p):
+            size = min(2 * k, len(row), len(col))
+            p, q = np.empty((size, len(row))), np.empty((size, len(col)))
+            p[:k], q[:k] = self.p, self.q
+            self.p, self.q = p, q
         self.p[k], self.q[k] = row, col
         np.maximum(self._p_max, np.abs(row), out=self._p_max)
         np.maximum(self._q_max, np.abs(col), out=self._q_max)

@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from noisyrows import cli
+from noisyrows import cli, completion
 from noisyrows.cli import main
+from noisyrows.completion import STATUS_BUDGET
 from noisyrows.instances import GroundTruthInstance, load, save
+from noisyrows.linalg import DegenerateSystemError
 from noisyrows.verify import read_trial_stats_csv
 
 
@@ -88,6 +90,23 @@ class TestRun:
                   "--json", str(out_json)])
             blobs.append(out_json.read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_non_ok_run_writes_strict_json(self, tmp_path, monkeypatch):
+        # A budget-exhausted run recovers nothing, so its error is infinite;
+        # the file carries null there, not the non-JSON constant Infinity.
+        def degenerate(*args, **kwargs):
+            raise DegenerateSystemError("forced")
+
+        def no_constants(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        monkeypatch.setattr(completion, "solve_least_squares", degenerate)
+        path = make_instance(tmp_path)
+        out_json = tmp_path / "result.json"
+        assert main(["run", "--instance", str(path), "--json", str(out_json)]) == 0
+        doc = json.loads(out_json.read_text(), parse_constant=no_constants)
+        assert doc["status"] == STATUS_BUDGET
+        assert doc["max_rel_error"] is None
 
     def test_missing_file_exits_nonzero(self, tmp_path):
         assert main(["run", "--instance", str(tmp_path / "nope.json")]) == 1

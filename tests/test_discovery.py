@@ -105,16 +105,35 @@ def test_same_decisions_as_probe_loop(source, oracle_seed):
     assert new.unique_query_count == old.unique_query_count
 
 
-@pytest.mark.parametrize("source, oracle_seed", SOURCES)
+def _full_rank(n1, n2, seed):
+    return np.random.default_rng(seed).standard_normal((n1, n2)), seed
+
+
+# Beyond SOURCES: 33 pivots on 36 rows, and two runs that accept min(n1, n2).
+PIVOT_CASES = [
+    *SOURCES,
+    (generate(GeneratorConfig(**PINNED_RUNS[2][0])), PINNED_RUNS[2][1]),
+    _full_rank(6, 9, 1),
+    _full_rank(9, 6, 2),
+]
+
+
+@pytest.mark.parametrize("source, oracle_seed", PIVOT_CASES)
 def test_running_maxima_are_those_of_the_pivots(monkeypatch, source, oracle_seed):
-    # The filter's max|B| reads these maxima; a max rounds nothing, so they
-    # must equal the reductions of the pivot buffers bit for bit.
+    # After every acceptance the buffers' first k rows are the revealed pivot
+    # rows and columns and the filter's running maxima are their reductions,
+    # all bit for bit (a max rounds nothing). No growth passes min(n1, n2),
+    # the most pivots a run can accept.
+    n = source.n_observed if hasattr(source, "n_observed") else source
     accepted = []
     accept = _Pivots.accept
 
     def checked(pivots, *args):
         accept(pivots, *args)
         k = len(pivots.rows)
+        np.testing.assert_array_equal(pivots.p[:k], n[pivots.rows, :])
+        np.testing.assert_array_equal(pivots.q[:k], n[:, pivots.cols].T)
+        assert pivots.p.shape[0] == pivots.q.shape[0] <= min(n.shape)
         np.testing.assert_array_equal(pivots._p_max, np.abs(pivots.p[:k]).max(axis=0))
         np.testing.assert_array_equal(pivots._q_max, np.abs(pivots.q[:k]).max(axis=0))
         accepted.append(k)
@@ -122,6 +141,8 @@ def test_running_maxima_are_those_of_the_pivots(monkeypatch, source, oracle_seed
     monkeypatch.setattr(_Pivots, "accept", checked)
     state = discover(QueryOracle(source, oracle_seed), PARAMS)
     assert accepted == list(range(1, state.rank_estimate + 1))
+    if isinstance(source, np.ndarray) and source.shape in ((6, 9), (9, 6)):
+        assert state.rank_estimate == 6
 
 
 def test_probes_read_as_one_cells_event_per_sweep():
