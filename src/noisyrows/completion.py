@@ -184,10 +184,13 @@ class _Pivots:
     m ||z|| in norm, and the level takes 5 (k+1)^2 eps off the threshold;
     the factor 1 - 2 (k+4) eps covers the rounding of the sums, products and
     level. A level at most 2^-500 rejects only an all-zero block (its square
-    is -1), so the right-hand side is at least 2^-1002 and a square that
-    underflows is negligible. Sums that overflow or are NaN reject nothing.
-    Where v - Q[i] w overflows, as at 2^1018, it is formed again from 2^-e v
-    and 2^-e Q[i], the probe's own exact scale.
+    is -1), so the right-hand side is at least 2^-1002 ||z||^2 and a square
+    that underflows is negligible. The bottom entry of 2^-e Bz is formed as
+    2^-e v - (2^-e Q[i]) w, at the probe's own exact scale: its terms are
+    at most |w| in size, so it is finite wherever ||w||^2 is, even at
+    2^1018. An entry of 2^-e Q[i] or 2^-e v below 2^-1022 errs by at most
+    2^-1075 absolute, also negligible against that right-hand side. Sums
+    that overflow or are NaN reject nothing.
 
     Each acceptance keeps the inverse current by bordering. With X_A the
     held inverse of 2^-a A, the probe's block scaled by its own 2^-e has
@@ -219,46 +222,32 @@ class _Pivots:
         # max|P[:, j]| per column j and max|Q[i]| per row i.
         self._p_max, self._q_max = np.zeros(n2), np.zeros(n1)
         self._on_pivot_row = np.zeros(n1, dtype=bool)
-        # The pivot block A, max|A| = g 2^a, 2^-a A and its inverse; the
-        # 0 x 0 block is its own inverse.
-        self._a = self._a_scaled = self.a_inv = np.empty((0, 0))
+        # max|A| = g 2^a, 2^-a A and its inverse; the 0 x 0 block is its own
+        # inverse.
+        self._a_scaled = self.a_inv = np.empty((0, 0))
         self._a_max, self._a_exp = 0.0, 0
-        self._set_level(0)
-        self._last = None  # the last probe bordered, and its bordering
-
-    def _set_level(self, k: int) -> None:
-        level = (self._tol.rel_threshold - 5 * (k + 1) ** 2 * _EPS) * (1 - 2 * (k + 4) * _EPS)
-        self._level_sq = level * level if level > 2.0**-500 else -1.0
 
     def _bordered(self, i: int, j: int, v: float) -> tuple:
-        """(B, max|B|, e, 2^-e B, X, L, accurate) for the probe (i, j) with
-        value v: its bordered block B, with max|B| = f 2^e and f in
-        [0.5, 1), the held inverse bordered into an approximation X of
-        (2^-e B)^-1, and X's left residual fl(X 2^-e B) - I and accuracy
-        (`_accurate`). The last probe's is kept for `accept`."""
-        if self._last is not None and self._last[0] == (i, j, v):
-            return self._last[1]
+        """(max|B|, e, 2^-e B, X) for the probe (i, j) with value v: its
+        bordered block B, with max|B| = f 2^e and f in [0.5, 1), and the held
+        inverse bordered into an approximation X of (2^-e B)^-1."""
         k = len(self.rows)
-        b = self.block(i, j, v)
         b_max = max(self._a_max, self._p_max[j], self._q_max[i], abs(v))
         e = math.frexp(b_max)[1]
-        b_hat = np.ldexp(b, -e)
+        b_hat = np.ldexp(self.block(i, j, v), -e)
         x = np.zeros((k + 1, k + 1))
         with np.errstate(all="ignore"):
             np.ldexp(self.a_inv, e - self._a_exp, out=x[:k, :k])
             z, y = x @ b_hat[:, k], b_hat[k] @ x  # [w; 0] and [u, 0]
             z[k] = y[k] = -1.0
             x += z[:, None] * (y / -(b_hat[k] @ z))  # 1 / s = -1 / (b_hat[k] z)
-            left, *norms = inverse_residual(b_hat, x)
-        bordered = (b, b_max, e, b_hat, x, left, _accurate(*norms, k + 1))
-        self._last = ((i, j, v), bordered)
-        return bordered
+        return b_max, e, b_hat, x
 
-    def accept(self, i: int, j: int, v: float, row: np.ndarray, col: np.ndarray) -> None:
-        """Make the probe (i, j) with value v a pivot, given its full row
-        N[i, :] and column N[:, j]: the bordered block becomes A."""
-        b, b_max, e, b_hat, x, left, accurate = self._bordered(i, j, v)
-        self._last = None
+    def accept(self, i: int, j: int, bordering: tuple, row: np.ndarray, col: np.ndarray) -> None:
+        """Make the probe (i, j) a pivot, given its bordering (`_bordered`)
+        and its full row N[i, :] and column N[:, j]: the bordered block
+        becomes A."""
+        b_max, e, b_hat, x = bordering
         k = len(self.rows)
         if k == len(self.p):
             size = min(2 * k, len(row), len(col))
@@ -271,19 +260,21 @@ class _Pivots:
         self.rows.append(i)
         self.cols.append(j)
         self._on_pivot_row[i] = True
-        if not accurate:
-            with np.errstate(all="ignore"):
+        with np.errstate(all="ignore"):
+            left, *norms = inverse_residual(b_hat, x)
+            if not _accurate(*norms, k + 1):
                 x = x - left @ x
                 if not _accurate(*inverse_residual(b_hat, x)[1:], k + 1):
                     x = np.linalg.inv(b_hat)
-        self._a, self._a_max, self._a_exp, self._a_scaled, self.a_inv = b, b_max, e, b_hat, x
-        self._set_level(k + 1)
+        self._a_max, self._a_exp, self._a_scaled, self.a_inv = b_max, e, b_hat, x
 
     def rejects(self, i: np.ndarray, j: np.ndarray, v: np.ndarray) -> np.ndarray:
         """For each probe (i[t], j[t]) with value v[t], whether the residual
         bound shows that the bordered block fails `is_invertible`. A bound
         whose sums overflow or are NaN rejects nothing."""
         k = len(self.rows)
+        level = (self._tol.rel_threshold - 5 * (k + 1) ** 2 * _EPS) * (1 - 2 * (k + 4) * _EPS)
+        level_sq = level * level if level > 2.0**-500 else -1.0
         # P[:, j] and Q[i]^T; take lays them out row-major, which the einsums need.
         p, q = self.p[:k].take(j, axis=1), self.q[:k].take(i, axis=1)
         max_b = np.maximum(np.maximum(self._p_max[j], self._q_max[i]), np.abs(v))
@@ -293,42 +284,36 @@ class _Pivots:
             p = np.ldexp(p, -self._a_exp)
             w = self.a_inv @ p
             top = np.ldexp(p - self._a_scaled @ w, self._a_exp - e)
-            bottom = np.ldexp(v - np.einsum("ij,ij->j", q, w), -e)
-            if not math.isfinite(bottom @ bottom):
-                # Some v - Q[i] w overflowed: form it at the probe's own 2^-e.
-                redo = np.flatnonzero(~np.isfinite(bottom))
-                scale = -e[redo]
-                bottom[redo] = np.ldexp(v[redo], scale) - np.einsum(
-                    "ij,ij->j", np.ldexp(q[:, redo], scale), w[:, redo])
+            bottom = np.ldexp(v, -e) - np.einsum("ij,ij->j", np.ldexp(q, -e), w)
             residual = np.einsum("ij,ij->j", top, top) + bottom * bottom
-            limit = (1.0 + np.einsum("ij,ij->j", w, w)) * (f * f * self._level_sq)
+            limit = (1.0 + np.einsum("ij,ij->j", w, w)) * (f * f * level_sq)
             return np.isfinite(limit) & (residual <= limit)
 
     def block(self, i: int, j: int, v: float) -> np.ndarray:
         """B = N[R + [i], C + [j]], assembled from the cached pivots."""
         k = len(self.rows)
         b = np.empty((k + 1, k + 1))
-        b[:k, :k] = self._a
+        b[:k, :k] = self.p[:k].take(self.cols, axis=1)
         b[:k, k] = self.p[:k, j]
         b[k, :k] = self.q[:k, i]
         b[k, k] = v
         return b
 
-    def first_accepted(self, i: np.ndarray, j: np.ndarray, v: np.ndarray) -> int | None:
-        """Position of the first probe whose bordered block passes
-        `is_invertible`, or None. A probe on a pivot row cannot border the
-        block into a square one, so a window of only such probes accepts
-        nothing; the residual bound rejects most others, and the rest get
-        the full test, handed their bordered inverse for its certificate."""
+    def first_accepted(self, i: np.ndarray, j: np.ndarray, v: np.ndarray) -> tuple:
+        """(position, bordering) of the first probe whose bordered block
+        passes `is_invertible`, with its `_bordered` for `accept`, or (None,
+        None). A probe on a pivot row cannot border the block into a square
+        one, so a window of only such probes accepts nothing; the residual
+        bound rejects most others, and the rest get the full test, handed
+        their bordered inverse for its certificate."""
         open_ = np.flatnonzero(~self._on_pivot_row[i])
-        if not open_.size:
-            return None
-        open_ = open_[~self.rejects(i[open_], j[open_], v[open_])]
-        for t in open_:
-            b_hat, x = self._bordered(i[t], j[t], v[t])[3:5]
-            if is_invertible(b_hat, self._tol, x):
-                return int(t)
-        return None
+        if open_.size:
+            for t in open_[~self.rejects(i[open_], j[open_], v[open_])]:
+                bordering = self._bordered(i[t], j[t], v[t])
+                b_hat, x = bordering[2:]
+                if is_invertible(b_hat, self._tol, x):
+                    return int(t), bordering
+        return None, None
 
 
 def discover(oracle: QueryOracle, params: CompletionParams) -> DiscoveryState:
@@ -359,7 +344,7 @@ def discover(oracle: QueryOracle, params: CompletionParams) -> DiscoveryState:
         resumed, start, width = 0, 0, probe_cols.size
         while start < probe_cols.size:
             stop = start + width
-            t = pivots.first_accepted(
+            t, bordering = pivots.first_accepted(
                 probe_rows[start:stop], probe_cols[start:stop], values[start:stop]
             )
             if t is None:
@@ -369,7 +354,7 @@ def discover(oracle: QueryOracle, params: CompletionParams) -> DiscoveryState:
             i, j = int(probe_rows[t]), int(probe_cols[t])
             col = oracle.query_column(j)
             row = oracle.query_row(i)
-            pivots.accept(i, j, values[t], row, col)
+            pivots.accept(i, j, bordering, row, col)
             unclaimed[j] = False
             stale = 0
             start, width = t + 1, t + 1 - resumed

@@ -6,6 +6,7 @@ accepts one the SVD rejects, that the inverse it multiplies by is accurate,
 that discovery makes exactly the decisions of the per-probe loop it
 replaced, and that the pivot rows and columns it passes on are the cells
 the oracle revealed."""
+import math
 from collections import Counter
 
 import numpy as np
@@ -121,9 +122,10 @@ PIVOT_CASES = [
 @pytest.mark.parametrize("source, oracle_seed", PIVOT_CASES)
 def test_running_maxima_are_those_of_the_pivots(monkeypatch, source, oracle_seed):
     # After every acceptance the buffers' first k rows are the revealed pivot
-    # rows and columns and the filter's running maxima are their reductions,
-    # all bit for bit (a max rounds nothing). No growth passes min(n1, n2),
-    # the most pivots a run can accept.
+    # rows and columns, the filter's running maxima are their reductions, and
+    # the held block is A = N[R, C] at the exact power of two of max|A|, all
+    # bit for bit (a max and a power-of-two scaling round nothing). No growth
+    # passes min(n1, n2), the most pivots a run can accept.
     n = source.n_observed if hasattr(source, "n_observed") else source
     accepted = []
     accept = _Pivots.accept
@@ -136,6 +138,11 @@ def test_running_maxima_are_those_of_the_pivots(monkeypatch, source, oracle_seed
         assert pivots.p.shape[0] == pivots.q.shape[0] <= min(n.shape)
         np.testing.assert_array_equal(pivots._p_max, np.abs(pivots.p[:k]).max(axis=0))
         np.testing.assert_array_equal(pivots._q_max, np.abs(pivots.q[:k]).max(axis=0))
+        a = n[np.ix_(pivots.rows, pivots.cols)]
+        assert pivots._a_max == np.abs(a).max()
+        a_scaled = np.ldexp(a, -math.frexp(pivots._a_max)[1])
+        assert pivots._a_scaled.shape == a_scaled.shape
+        assert pivots._a_scaled.tobytes() == a_scaled.tobytes()
         accepted.append(k)
 
     monkeypatch.setattr(_Pivots, "accept", checked)
@@ -162,7 +169,7 @@ def _pivots_of(block: np.ndarray, tol: RankTolerance) -> _Pivots:
     k = block.shape[0] - 1
     pivots = _Pivots(k + 1, k + 1, tol)
     for t in range(k):
-        pivots.accept(t, t, block[t, t], block[t, :], block[:, t])
+        pivots.accept(t, t, pivots._bordered(t, t, block[t, t]), block[t, :], block[:, t])
     return pivots
 
 
@@ -239,7 +246,7 @@ def test_certificate_never_accepts_what_the_svd_rejects(
     # and at the block's own.
     block, tol = _near_singular_block(k, log_cond, log_scale, log_threshold, delta,
                                       near_threshold, seed)
-    b_hat, x = _pivots_of(block, tol)._bordered(k, k, block[k, k])[3:5]
+    b_hat, x = _pivots_of(block, tol)._bordered(k, k, block[k, k])[2:]
     svds = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "numerical_rank",
@@ -266,9 +273,11 @@ def test_an_undecided_certificate_falls_through_to_the_svd(monkeypatch, drift, r
 
     for name in ("svd", "inv"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
-    assert pivots.first_accepted(np.array([6]), np.array([6]), np.array([block[6, 6]])) == 0
+    position, bordering = pivots.first_accepted(np.array([6]), np.array([6]),
+                                                np.array([block[6, 6]]))
+    assert position == 0
     assert calls == Counter(svd=1)
-    pivots.accept(6, 6, block[6, 6], block[6], block[:, 6])
+    pivots.accept(6, 6, bordering, block[6], block[:, 6])
     assert calls == Counter(svd=1, inv=refreshed)
     a, a_inv = pivots._a_scaled, pivots.a_inv
     error = np.linalg.norm(a_inv @ a - np.eye(7), 2)
@@ -295,7 +304,7 @@ def test_non_finite_bound_falls_through(block):
     k = block.shape[0] - 1
     pivots = _pivots_of(block, tol)
     assert not pivots.rejects(np.array([k]), np.array([k]), np.array([block[k, k]]))[0]
-    accepted = pivots.first_accepted(np.array([k]), np.array([k]), np.array([block[k, k]]))
+    accepted, _ = pivots.first_accepted(np.array([k]), np.array([k]), np.array([block[k, k]]))
     assert accepted == (0 if is_invertible(block, tol) else None)
 
 
@@ -321,7 +330,7 @@ def test_a_window_of_mixed_scales_decides_each_probe_alone():
         n[:k, k + t], n[k + t, :k], n[k + t, k + t] = p, q, v + delta * largest
     pivots = _Pivots(*n.shape, tol)
     for t in range(k):
-        pivots.accept(t, t, n[t, t], n[t, :], n[:, t])
+        pivots.accept(t, t, pivots._bordered(t, t, n[t, t]), n[t, :], n[:, t])
     probes = np.arange(k, k + m)
     rejected = pivots.rejects(probes, probes, n[probes, probes])
     for t, verdict in zip(probes, rejected):
@@ -337,7 +346,7 @@ def test_block_is_the_bordered_submatrix():
     rows, cols = [3, 0], [4, 1]
     pivots = _Pivots(*n.shape, RankTolerance())
     for i, j in zip(rows, cols):
-        pivots.accept(i, j, n[i, j], n[i, :], n[:, j])
+        pivots.accept(i, j, pivots._bordered(i, j, n[i, j]), n[i, :], n[:, j])
     np.testing.assert_array_equal(pivots.block(2, 5, n[2, 5]),
                                   n[np.ix_(rows + [2], cols + [5])])
 

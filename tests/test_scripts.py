@@ -55,6 +55,13 @@ DIGESTS = {
 }
 
 
+def digests(out):
+    """(runs, unique queries, successes, digest) per workload of the script's output."""
+    lines = [json.loads(line) for line in out.splitlines()]
+    return {line["workload"]: (line["runs"], line["unique_queries"], line["successes"],
+                               line["decisions"]) for line in lines}
+
+
 def test_decision_digest_repeats(capsys):
     main = script_main("decision_digest.py")
     outputs = []
@@ -62,9 +69,23 @@ def test_decision_digest_repeats(capsys):
         assert main(["--seeds", "101"]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
-    lines = [json.loads(line) for line in outputs[0].splitlines()]
-    assert {line["workload"]: (line["runs"], line["unique_queries"], line["successes"],
-                               line["decisions"]) for line in lines} == DIGESTS
+    assert digests(outputs[0]) == DIGESTS
+
+
+# The default seeds, 101-110, of each workload: the same decisions, pinned.
+DEFAULT_DIGESTS = {
+    "square": (240, 3_108_583, 240,
+               "19b51298647d5ba87494f004d92b30f3cc5cb79bcbf6a71d52f62bfc034e0f07"),
+    "wide": (80, 5_338_258, 80,
+             "4ec329cbc1b9ee13759b98c442c1ff7d3fa7a5e6668707021d9f9fda568cf13c"),
+    "trials": (800, 1_851_678, 796,
+               "35bd4643f1270e1905184cb3c5b64332f0d1125966e70d6499f67c79ea895a53"),
+}
+
+
+def test_decision_digest_default_seeds(capsys):
+    assert script_main("decision_digest.py")([]) == 0
+    assert digests(capsys.readouterr().out) == DEFAULT_DIGESTS
 
 
 def test_bench_record(tmp_path, monkeypatch, capsys):
