@@ -5,8 +5,9 @@ For each workload and seed the script runs `perfbench/run.py` in a child
 process and keeps the run's last two standard-output lines: the header that
 describes the run and its environment, and the verdict with the metrics.
 The file also holds `git rev-parse HEAD`, whether the working tree differed
-from it, and the command that made the file. Workloads and run length
-default to those BENCHMARK.json declares.
+from it (both null outside a git checkout, or without git), and the command
+that made the file. Workloads and run length default to those BENCHMARK.json
+declares.
 
 Example:
     python scripts/bench_record.py --label base --seeds 101 102 103
@@ -20,9 +21,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def git(*args) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
-                          check=True).stdout.strip()
+def git(*args) -> str | None:
+    """git's output on this tree, or None without git or outside a checkout."""
+    try:
+        return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
+                              check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return None
 
 
 def record_run(workload: str, seed: int, seconds: float) -> dict:
@@ -49,8 +54,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     # Read before the file is written, which would itself change the tree.
-    commit = git("rev-parse", "HEAD")
-    dirty = bool(git("status", "--porcelain"))
+    # A tree exported without .git records null for both, not the commit of
+    # a repository it happens to sit in.
+    top = git("rev-parse", "--show-toplevel")
+    commit = dirty = None
+    if top is not None and Path(top).resolve() == ROOT:
+        commit = git("rev-parse", "HEAD")
+        dirty = bool(git("status", "--porcelain"))
     runs = []
     for workload in args.workload:
         for seed in args.seeds:

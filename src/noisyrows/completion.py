@@ -60,6 +60,15 @@ STATUS_BUDGET = "budget-exhausted"
 
 _EPS = float(np.finfo(float).eps)
 
+# After an acceptance, a sweep's rest of at most this many probes is decided
+# in one filter call. A `rejects` call costs about 25-40 us whatever its
+# size, mostly numpy dispatch, plus about 0.04-0.19 us per probe at k = 5 to
+# 30 (timeit, one Xeon core), so one call costs as much as 170-950 probes.
+# Deciding such a rest whole filters at most this many probes that windows
+# might skip, about one call's cost, and saves every window call after the
+# first; a longer rest keeps the windows, whose saved work then dominates.
+_WHOLE_TAIL = 256
+
 
 @dataclass(frozen=True)
 class CompletionParams:
@@ -337,10 +346,12 @@ def discover(oracle: QueryOracle, params: CompletionParams) -> DiscoveryState:
         probe_rows = oracle.draw_random_rows(probe_cols.size)
         values = oracle.query_cells(probe_rows, probe_cols)
         # Most sweeps accept nothing, so a sweep is first decided whole.
-        # After an acceptance the rest is decided in windows that double
-        # while none is accepted. Deciding restarts one past the acceptance,
-        # with the next gap guessed from the last one: the first window is
-        # as long as the stretch from the previous restart to the acceptance.
+        # After an acceptance a rest of at most _WHOLE_TAIL probes is decided
+        # whole too; a longer rest in windows that double while none is
+        # accepted. Deciding restarts one past the acceptance, with the next
+        # gap guessed from the last one: the first window is as long as the
+        # stretch from the previous restart to the acceptance. The first
+        # probe accepted is the same whatever the window bounds.
         resumed, start, width = 0, 0, probe_cols.size
         while start < probe_cols.size:
             stop = start + width
@@ -358,6 +369,8 @@ def discover(oracle: QueryOracle, params: CompletionParams) -> DiscoveryState:
             unclaimed[j] = False
             stale = 0
             start, width = t + 1, t + 1 - resumed
+            if probe_cols.size - start <= _WHOLE_TAIL:
+                width = probe_cols.size - start
             resumed = start
     k = len(pivots.rows)
     # Identification's fixed cut can sit within the rounding S carries, so

@@ -24,6 +24,7 @@ from .linalg import (
     CapacityError,
     RankTolerance,
     SPARSITY_ENUM_CAP,
+    as_real,
     has_unit_coordinate_vector,
     numerical_rank,
     sparsity_number,
@@ -304,8 +305,7 @@ def load(path, tol: RankTolerance = DEFAULT_TOL) -> GroundTruthInstance:
         raise InstanceFormatError(f"field 'gamma' must be a list of integers, got {gamma!r}")
     n1, n2 = doc["n1"], doc["n2"]
     try:
-        m = np.asarray(doc["m"], dtype=float)
-        noise = np.asarray(doc["noise"], dtype=float)
+        m, noise = as_real(doc["m"]), as_real(doc["noise"])
     except (TypeError, ValueError) as exc:
         raise InstanceFormatError(f"malformed field: {exc}") from exc
     if m.ndim != 2 or m.shape != (n1, n2) or noise.shape != (n1, n2):

@@ -48,9 +48,35 @@ class RankTolerance:
 DEFAULT_TOL = RankTolerance()
 
 
+def as_real(m) -> np.ndarray:
+    """Coerce input to a float array. Complex input, and an entry no float
+    holds (an integer of 10**400), raise ValueError naming the dtype or the
+    entry, rather than losing the imaginary part or overflowing; a float
+    wider than 64 bits past the float range becomes inf."""
+    a = np.asarray(m)
+    if a.dtype.kind == "c":
+        raise ValueError(f"matrix entries must be real, got dtype {a.dtype}")
+    if a.dtype.kind == "O":
+        # Python numbers of mixed types or beyond int64, one entry at a time.
+        out = np.empty(a.shape)
+        for index, x in np.ndenumerate(a):
+            if isinstance(x, (complex, np.complexfloating)):
+                raise ValueError(f"matrix entry {index} is complex: {x!r}")
+            try:
+                out[index] = x
+            except OverflowError:
+                raise ValueError(f"matrix entry {index} is too large for a float") from None
+        return out
+    if a.dtype != float:
+        with np.errstate(over="ignore"):
+            a = a.astype(float)
+    return a
+
+
 def as_matrix(m) -> np.ndarray:
-    """Coerce input to a 2-D float array, validating shape and finiteness."""
-    a = np.asarray(m, dtype=float)
+    """Coerce input to a 2-D float array (`as_real`), validating shape and
+    finiteness."""
+    a = as_real(m)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={a.ndim}")
     if a.size and not np.isfinite(a).all():

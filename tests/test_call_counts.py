@@ -21,7 +21,8 @@ Ceilings, with k pivots of an n1 x n2 matrix and S sweeps
              identification), no solve, exactly k row and k column reads,
              one cell read per sweep, no entry reads, exactly
              k (n1 + n2) + P cells read, and at most the filter calls
-             measured for the case (REJECTS)
+             measured for the case (REJECTS), and S + k of them when
+             n2 <= _WHOLE_TAIL
   identify   no inverse (it reads discovery's), SVD, solve, decision or
              oracle call at all
   recover    at most 1 SVD, no inverse and no oracle call; no SVD either
@@ -36,7 +37,7 @@ import numpy as np
 import pytest
 
 from noisyrows import completion, instances
-from noisyrows.completion import CompletionParams
+from noisyrows.completion import _WHOLE_TAIL, CompletionParams
 from noisyrows.instances import (
     MAX_GENERATION_ATTEMPTS,
     GenerationError,
@@ -124,12 +125,13 @@ WORKLOAD_CASES = [
                            target_psi=5, seed=10100001), 10150001),
 ]
 
-# Filter calls in discovery per case, as measured: a sweep's first window
-# and the windows that follow each acceptance. S + 2k does not bound them:
-# pinned-3 makes 19 calls in S = 8 sweeps with k = 5.
-REJECTS = {"pinned-0": 14, "pinned-1": 16, "pinned-2": 40, "pinned-3": 19,
-           "precondition": 8, "square": 28, "wide": 44, "trials-gaussian": 24,
-           "trials-sparse": 25}
+# Filter calls in discovery per case, as measured: one per sweep, one for
+# the rest after each acceptance when at most _WHOLE_TAIL probes remain, and
+# the doubling windows over a longer rest. Where no sweep has more than
+# _WHOLE_TAIL probes that gives at most S + k calls, which the test checks.
+REJECTS = {"pinned-0": 12, "pinned-1": 11, "pinned-2": 37, "pinned-3": 13,
+           "precondition": 8, "square": 28, "wide": 44, "trials-gaussian": 16,
+           "trials-sparse": 16}
 
 # (observed-matrix factory, oracle seed) of each case.
 CASES = (
@@ -164,6 +166,9 @@ def test_each_decision_once(monkeypatch, request, make_matrix, oracle_seed):
     assert found["lstsq"] == 0
     assert found["cells"] == k * (n1 + n2) + found["probes"]
     assert found["rejects"] <= REJECTS[request.node.callspec.id]
+    # The first sweep probes every column, and no later one probes more.
+    if n2 <= _WHOLE_TAIL:
+        assert found["rejects"] <= sweeps + k
 
     # Identification and recovery work from what discovery revealed.
     assert counts["identify"] == Counter()

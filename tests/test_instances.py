@@ -426,6 +426,16 @@ class TestSaveLoad:
         with pytest.raises(InstanceFormatError, match=f"field '{field}' has non-finite"):
             load(path)
 
+    @pytest.mark.parametrize("field", ["m", "noise"])
+    def test_entry_beyond_float_is_named(self, seed7_instance, tmp_path, field):
+        path = tmp_path / "inst.json"
+        save(seed7_instance, path)
+        doc = json.loads(path.read_text())
+        doc[field][2][3] = 10**400
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InstanceFormatError, match=r"entry \(2, 3\) is too large"):
+            load(path)
+
     @pytest.mark.parametrize("tail, loads", [(1e-8, False), (1e-10, True)])
     def test_rank_at_tolerance_edge(self, tmp_path, tail, loads):
         # Declared rank 2, with a third singular value `tail` times the first:

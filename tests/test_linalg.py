@@ -35,6 +35,30 @@ def small_matrices(max_side=6):
     ).flatmap(lambda s: arrays(float, s, elements=finite_entries))
 
 
+class TestAsMatrix:
+    @pytest.mark.parametrize("m, message", [
+        pytest.param(np.ones((2, 2), dtype=np.complex64), "dtype complex64", id="complex64"),
+        pytest.param([[1.0, 1 + 0j]], "dtype complex128", id="zero-imaginary"),
+        pytest.param(np.array([[1.0, np.complex128(2j)]], dtype=object),
+                     r"entry \(0, 1\) is complex", id="complex-object"),
+        pytest.param([[10**400]], r"entry \(0, 0\) is too large", id="int-10^400"),
+        pytest.param([[1, -(10**400)]], r"entry \(0, 1\) is too large", id="int--10^400"),
+    ])
+    def test_rejects_what_no_float_holds(self, m, message):
+        with pytest.raises(ValueError, match=message):
+            linalg.as_matrix(m)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).max <= np.finfo(float).max,
+                        reason="long double is no wider than float here")
+    def test_rejects_long_double_beyond_float(self):
+        with pytest.raises(ValueError, match="finite"):
+            linalg.as_matrix(np.full((2, 2), np.finfo(np.longdouble).max))
+
+    def test_python_ints_beyond_int64_convert(self):
+        np.testing.assert_array_equal(linalg.as_matrix([[10**300, -3], [2**64, 0]]),
+                                      [[1e300, -3.0], [2.0**64, 0.0]])
+
+
 class TestNumericalRank:
     def test_invertible_2x2(self):
         assert numerical_rank([[1, 2], [3, 4]]) == 2

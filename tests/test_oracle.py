@@ -29,6 +29,19 @@ class TestConstruction:
         with pytest.raises(ValueError):
             QueryOracle(values)
 
+    def test_complex_matrix_raises(self):
+        # Rank 3 real and imaginary parts: a float cast would drop the
+        # imaginary part and complete the real part alone.
+        rng = np.random.default_rng(0)
+        real = rng.standard_normal((40, 3)) @ rng.standard_normal((3, 30))
+        imag = rng.standard_normal((40, 3)) @ rng.standard_normal((3, 30))
+        with pytest.raises(ValueError, match="dtype complex128"):
+            QueryOracle(real + 1j * imag)
+
+    def test_entry_beyond_float_raises(self):
+        with pytest.raises(ValueError, match=r"entry \(1, 0\) is too large"):
+            QueryOracle([[1, 2], [10**400, 3]])
+
 
 class TestEntryQueries:
     def test_first_query_counts(self):

@@ -1,7 +1,10 @@
 import csv
 import json
+import re
 import runpy
 from pathlib import Path
+
+import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -88,16 +91,26 @@ def test_decision_digest_default_seeds(capsys):
     assert digests(capsys.readouterr().out) == DEFAULT_DIGESTS
 
 
-def test_bench_record(tmp_path, monkeypatch, capsys):
+def record_bench(tmp_path, monkeypatch):
+    """(argv, BENCH_t.json) of one short bench_record.py run into tmp_path."""
     # No bytecode is written, so the run leaves perfbench/ as it was.
     monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
     main = script_main("bench_record.py")
     argv = ["--label", "t", "--workload", "wide", "--seeds", "1", "--seconds", "0.1",
             "--out-dir", str(tmp_path)]
     assert main(argv) == 0
-    doc = json.loads((tmp_path / "BENCH_t.json").read_text())
+    return argv, json.loads((tmp_path / "BENCH_t.json").read_text())
+
+
+def test_bench_record(tmp_path, monkeypatch, capsys):
+    argv, doc = record_bench(tmp_path, monkeypatch)
     assert doc["label"] == "t"
-    assert len(doc["commit"]) == 40 and isinstance(doc["dirty"], bool)
+    # A git checkout records its commit; a tree exported without .git, null.
+    if doc["commit"] is None:
+        assert doc["dirty"] is None
+    else:
+        assert re.fullmatch("[0-9a-f]{40}", doc["commit"])
+        assert isinstance(doc["dirty"], bool)
     assert doc["command"] == ["scripts/bench_record.py", *argv]
     [run] = doc["runs"]
     assert run["command"][1:] == ["perfbench/run.py", "--workload", "wide", "--seed", "1",
@@ -106,3 +119,15 @@ def test_bench_record(tmp_path, monkeypatch, capsys):
     assert run["result"]["correct"] is True
     assert "ops_per_s" in run["result"]["metrics"]
     assert f"wrote {tmp_path / 'BENCH_t.json'}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("env", [
+    pytest.param({"PATH": ""}, id="no-git"),
+    pytest.param({"GIT_DIR": "not-a-repository"}, id="no-checkout"),
+])
+def test_bench_record_without_git(tmp_path, monkeypatch, env):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    _, doc = record_bench(tmp_path, monkeypatch)
+    assert (doc["commit"], doc["dirty"]) == (None, None)
+    assert doc["runs"][0]["result"]["correct"] is True
