@@ -5,9 +5,9 @@ For each workload and seed the script runs `perfbench/run.py` in a child
 process and keeps the run's last two standard-output lines: the header that
 describes the run and its environment, and the verdict with the metrics.
 The file also holds `git rev-parse HEAD`, whether the working tree differed
-from it (both null outside a git checkout, or without git), and the command
-that made the file. Workloads and run length default to those BENCHMARK.json
-declares.
+from it in any file but the BENCH_*.json files at its top (both null outside
+a git checkout, or without git), and the command that made the file.
+Workloads and run length default to those BENCHMARK.json declares.
 
 Example:
     python scripts/bench_record.py --label base --seeds 101 102 103
@@ -53,14 +53,15 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = parser.parse_args(argv)
 
-    # Read before the file is written, which would itself change the tree.
-    # A tree exported without .git records null for both, not the commit of
-    # a repository it happens to sit in.
+    # Read before the file is written, which would itself change the tree;
+    # the BENCH_*.json files at the top are left out, so one recording does
+    # not mark the next dirty. A tree exported without .git records null for
+    # both, not the commit of a repository it happens to sit in.
     top = git("rev-parse", "--show-toplevel")
     commit = dirty = None
     if top is not None and Path(top).resolve() == ROOT:
         commit = git("rev-parse", "HEAD")
-        dirty = bool(git("status", "--porcelain"))
+        dirty = bool(git("status", "--porcelain", "--", ".", ":(exclude)BENCH_*.json"))
     runs = []
     for workload in args.workload:
         for seed in args.seeds:

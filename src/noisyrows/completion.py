@@ -201,6 +201,21 @@ class _Pivots:
     2^-1075 absolute, also negligible against that right-hand side. Sums
     that overflow or are NaN reject nothing.
 
+    A window with one open probe skips `rejects`: `_bordered` tests the same
+    inequality, with the same level from k and the same rules for a level
+    at most 2^-500 and a non-finite bound, on what it forms anyway, 2^-e B
+    and z = [w; -1], before it completes X. It is sound for the same
+    reasons: z may be any vector, and computing 2^-e B z errs by at most
+    gamma_{k+1} |2^-e B| |z|. Here all of B is at the probe's scale, so
+    when e >> a entries of 2^-e A and 2^-e P[:, j] fall below 2^-1022 too.
+    Each such entry, and each product in 2^-e B z that underflows, errs by
+    at most 2^-1075 absolute (a sum that underflows is exact), so with
+    ||z|| >= 1 the norm of 2^-e B z errs by at most 2 (k+1)^2 2^-1075 ||z||
+    beyond gamma_{k+1}, negligible against ||z|| f level >= 2^-501 ||z||.
+    Both bounds only ever reject a block the invertibility test
+    rejects, and that test decides every probe neither rejects, so which
+    probe is accepted first does not depend on which bound a probe met.
+
     Each acceptance keeps the inverse current by bordering. With X_A the
     held inverse of 2^-a A, the probe's block scaled by its own 2^-e has
     2^(e-a) X_A as the inverse of its A block, an exact scaling. With
@@ -236,19 +251,26 @@ class _Pivots:
         self._a_scaled = self.a_inv = np.empty((0, 0))
         self._a_max, self._a_exp = 0.0, 0
 
-    def _bordered(self, i: int, j: int, v: float) -> tuple:
+    def _bordered(self, i: int, j: int, v: float, lone: bool = False) -> tuple | None:
         """(max|B|, e, 2^-e B, X) for the probe (i, j) with value v: its
         bordered block B, with max|B| = f 2^e and f in [0.5, 1), and the held
-        inverse bordered into an approximation X of (2^-e B)^-1."""
+        inverse bordered into an approximation X of (2^-e B)^-1. A `lone`
+        probe, which no `rejects` call has bounded, is bounded here before X
+        is completed: None when ||2^-e B z||^2 <= ||z||^2 (f level)^2."""
         k = len(self.rows)
         b_max = max(self._a_max, self._p_max[j], self._q_max[i], abs(v))
-        e = math.frexp(b_max)[1]
+        f, e = math.frexp(b_max)
         b_hat = np.ldexp(self.block(i, j, v), -e)
         x = np.zeros((k + 1, k + 1))
         with np.errstate(all="ignore"):
             np.ldexp(self.a_inv, e - self._a_exp, out=x[:k, :k])
             z, y = x @ b_hat[:, k], b_hat[k] @ x  # [w; 0] and [u, 0]
             z[k] = y[k] = -1.0
+            if lone:
+                residual = b_hat @ z
+                limit = (z @ z) * (f * f * self._level_sq())
+                if math.isfinite(limit) and residual @ residual <= limit:
+                    return None
             x += z[:, None] * (y / -(b_hat[k] @ z))  # 1 / s = -1 / (b_hat[k] z)
         return b_max, e, b_hat, x
 
@@ -277,13 +299,18 @@ class _Pivots:
                     x = np.linalg.inv(b_hat)
         self._a_max, self._a_exp, self._a_scaled, self.a_inv = b_max, e, b_hat, x
 
+    def _level_sq(self) -> float:
+        """The filter's level squared at k pivots, or -1 for a level at most
+        2^-500, which rejects only an all-zero block."""
+        k = len(self.rows)
+        level = (self._tol.rel_threshold - 5 * (k + 1) ** 2 * _EPS) * (1 - 2 * (k + 4) * _EPS)
+        return level * level if level > 2.0**-500 else -1.0
+
     def rejects(self, i: np.ndarray, j: np.ndarray, v: np.ndarray) -> np.ndarray:
         """For each probe (i[t], j[t]) with value v[t], whether the residual
         bound shows that the bordered block fails `is_invertible`. A bound
         whose sums overflow or are NaN rejects nothing."""
-        k = len(self.rows)
-        level = (self._tol.rel_threshold - 5 * (k + 1) ** 2 * _EPS) * (1 - 2 * (k + 4) * _EPS)
-        level_sq = level * level if level > 2.0**-500 else -1.0
+        k, level_sq = len(self.rows), self._level_sq()
         # P[:, j] and Q[i]^T; take lays them out row-major, which the einsums need.
         p, q = self.p[:k].take(j, axis=1), self.q[:k].take(i, axis=1)
         max_b = np.maximum(np.maximum(self._p_max[j], self._q_max[i]), np.abs(v))
@@ -312,16 +339,19 @@ class _Pivots:
         """(position, bordering) of the first probe whose bordered block
         passes `is_invertible`, with its `_bordered` for `accept`, or (None,
         None). A probe on a pivot row cannot border the block into a square
-        one, so a window of only such probes accepts nothing; the residual
-        bound rejects most others, and the rest get the full test, handed
-        their bordered inverse for its certificate."""
+        one, so a window of only such probes accepts nothing. The residual
+        bound rejects most open probes: two or more in one `rejects` call, a
+        lone one from its own bordering, which spares that call's fixed cost.
+        The rest get the full test, handed their bordered inverse for its
+        certificate."""
         open_ = np.flatnonzero(~self._on_pivot_row[i])
-        if open_.size:
-            for t in open_[~self.rejects(i[open_], j[open_], v[open_])]:
-                bordering = self._bordered(i[t], j[t], v[t])
-                b_hat, x = bordering[2:]
-                if is_invertible(b_hat, self._tol, x):
-                    return int(t), bordering
+        lone = open_.size == 1
+        if open_.size > 1:
+            open_ = open_[~self.rejects(i[open_], j[open_], v[open_])]
+        for t in open_:
+            bordering = self._bordered(i[t], j[t], v[t], lone)
+            if bordering is not None and is_invertible(bordering[2], self._tol, bordering[3]):
+                return int(t), bordering
         return None, None
 
 

@@ -48,28 +48,48 @@ class RankTolerance:
 DEFAULT_TOL = RankTolerance()
 
 
+def _check_held(index: tuple, x, value: float) -> None:
+    """Raise ValueError unless the float `value` is the integer x exactly."""
+    if int(value) != int(x):
+        raise ValueError(f"matrix entry {index} is an integer no float holds exactly")
+
+
 def as_real(m) -> np.ndarray:
-    """Coerce input to a float array. Complex input, and an entry no float
-    holds (an integer of 10**400), raise ValueError naming the dtype or the
-    entry, rather than losing the imaginary part or overflowing; a float
-    wider than 64 bits past the float range becomes inf."""
+    """Coerce input to a float array holding the same values. Input that is
+    not real numbers (a complex or text dtype, or a complex, str or bytes
+    entry of an object array), and an integer no float holds (2**53 + 1, or
+    10**400), raise ValueError naming the dtype or the entry, rather than
+    losing the imaginary part, parsing the text, rounding or overflowing; a
+    float wider than 64 bits past the float range becomes inf."""
     a = np.asarray(m)
-    if a.dtype.kind == "c":
-        raise ValueError(f"matrix entries must be real, got dtype {a.dtype}")
+    if not isinstance(m, np.ndarray) and a.dtype.kind == "f" and (np.abs(a) >= 2.0**53).any():
+        # Python integers beside floats were cast with them; check each.
+        a = np.asarray(m, dtype=object)
+    if a.dtype.kind not in "biufO":
+        raise ValueError(f"matrix entries must be real numbers, got dtype {a.dtype}")
     if a.dtype.kind == "O":
         # Python numbers of mixed types or beyond int64, one entry at a time.
         out = np.empty(a.shape)
         for index, x in np.ndenumerate(a):
             if isinstance(x, (complex, np.complexfloating)):
                 raise ValueError(f"matrix entry {index} is complex: {x!r}")
+            if isinstance(x, (str, bytes)):
+                raise ValueError(f"matrix entry {index} is text, not a number: {x!r}")
             try:
                 out[index] = x
             except OverflowError:
                 raise ValueError(f"matrix entry {index} is too large for a float") from None
+            if isinstance(x, (int, np.integer)):
+                _check_held(index, x, out[index])
         return out
     if a.dtype != float:
         with np.errstate(over="ignore"):
-            a = a.astype(float)
+            f = a.astype(float)
+        if a.dtype.kind in "iu":
+            # Every integer of magnitude below 2**53 is a float.
+            for index in map(tuple, np.argwhere(np.abs(f) >= 2.0**53).tolist()):
+                _check_held(index, a[index], f[index])
+        a = f
     return a
 
 

@@ -125,12 +125,14 @@ WORKLOAD_CASES = [
                            target_psi=5, seed=10100001), 10150001),
 ]
 
-# Filter calls in discovery per case, as measured: one per sweep, one for
-# the rest after each acceptance when at most _WHOLE_TAIL probes remain, and
-# the doubling windows over a longer rest. Where no sweep has more than
+# Filter calls in discovery per case, as measured. Each window that holds
+# two or more probes off the pivot rows takes one call: the sweep, the rest
+# after each acceptance when at most _WHOLE_TAIL probes remain, and the
+# doubling windows over a longer rest. A window with one such probe bounds
+# it from its bordering and takes none. Where no sweep has more than
 # _WHOLE_TAIL probes that gives at most S + k calls, which the test checks.
-REJECTS = {"pinned-0": 12, "pinned-1": 11, "pinned-2": 37, "pinned-3": 13,
-           "precondition": 8, "square": 28, "wide": 44, "trials-gaussian": 16,
+REJECTS = {"pinned-0": 11, "pinned-1": 11, "pinned-2": 20, "pinned-3": 13,
+           "precondition": 8, "square": 20, "wide": 24, "trials-gaussian": 16,
            "trials-sparse": 16}
 
 # (observed-matrix factory, oracle seed) of each case.

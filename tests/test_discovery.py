@@ -1,11 +1,12 @@
 """Discovery decides probes from its cached pivots: a residual bound rejects
 most of them, and the rest get the full invertibility test, whose residual
 certificate vouches for most without an SVD. These tests pin that the bound
-never rejects a block the full test accepts, that the certificate never
-accepts one the SVD rejects, that the inverse it multiplies by is accurate,
-that discovery makes exactly the decisions of the per-probe loop it
-replaced, and that the pivot rows and columns it passes on are the cells
-the oracle revealed."""
+never rejects a block the full test accepts, in the filter or from a lone
+probe's bordering, that a lone probe decides as the filter's path does with
+no filter call, that the certificate never accepts one the SVD rejects, that
+the inverse it multiplies by is accurate, that discovery makes exactly the
+decisions of the per-probe loop it replaced, and that the pivot rows and
+columns it passes on are the cells the oracle revealed."""
 import math
 from collections import Counter
 
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noisyrows import linalg
+from noisyrows import completion, linalg
 from noisyrows.completion import (
     CompletionParams,
     DiscoveryState,
@@ -204,9 +205,19 @@ def test_filter_never_rejects_an_invertible_block(
     block = np.block([[a, y[:, None]], [x[None, :], np.array([[v]])]])
     block *= 10.0**log_scale
     tol = RankTolerance(10.0**log_threshold)
-    rejected = _pivots_of(block, tol).rejects(np.array([k]), np.array([k]),
-                                              np.array([block[k, k]]))
+    probe = np.array([k]), np.array([k]), np.array([block[k, k]])
+    pivots = _pivots_of(block, tol)
+    rejected = pivots.rejects(*probe)
     if rejected[0]:
+        assert not is_invertible(block, tol)
+    # The same probe alone in a window is bounded from its own bordering:
+    # whenever that rejects it, with no invertibility test, so must the SVD.
+    tests = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(completion, "is_invertible",
+                   lambda *args: tests.append(args) or is_invertible(*args))
+        position, _ = pivots.first_accepted(*probe)
+    if position is None and not tests:
         assert not is_invertible(block, tol)
 
 
@@ -306,6 +317,54 @@ def test_non_finite_bound_falls_through(block):
     assert not pivots.rejects(np.array([k]), np.array([k]), np.array([block[k, k]]))[0]
     accepted, _ = pivots.first_accepted(np.array([k]), np.array([k]), np.array([block[k, k]]))
     assert accepted == (0 if is_invertible(block, tol) else None)
+
+
+def filtered_first_accepted(pivots: _Pivots, i, j, v) -> tuple:
+    """The reference: `rejects` bounds every open probe of the window, and
+    each one it keeps gets `_bordered` and `is_invertible`."""
+    open_ = np.flatnonzero(~pivots._on_pivot_row[i])
+    if open_.size:
+        for t in open_[~pivots.rejects(i[open_], j[open_], v[open_])]:
+            bordering = pivots._bordered(i[t], j[t], v[t])
+            if is_invertible(bordering[2], pivots._tol, bordering[3]):
+                return int(t), bordering
+    return None, None
+
+
+# (accepted, rejected) windows with one probe off the pivot rows, per case.
+LONE_WINDOWS = {"pinned-0": (0, 1), "pinned-2": (17, 0), "square": (8, 0), "wide": (19, 1)}
+
+
+@pytest.mark.parametrize("make_matrix, oracle_seed",
+                         [case for case in CASES if case.id in LONE_WINDOWS])
+def test_a_lone_open_probe_is_bounded_without_the_filter(monkeypatch, request, make_matrix,
+                                                         oracle_seed):
+    # Every window of discovery with exactly one probe off the pivot rows
+    # makes no `rejects` call and returns the (position, bordering) that the
+    # filter's path returns, bit for bit.
+    first_accepted, rejects = _Pivots.first_accepted, _Pivots.rejects
+    calls, outcomes = [], Counter()
+
+    def checked(pivots, i, j, v):
+        if np.count_nonzero(~pivots._on_pivot_row[i]) != 1:
+            return first_accepted(pivots, i, j, v)
+        position, bordering = filtered_first_accepted(pivots, i, j, v)
+        calls.clear()
+        got = first_accepted(pivots, i, j, v)
+        assert not calls
+        assert got[0] == position
+        if position is not None:
+            assert [np.asarray(a).tobytes() for a in got[1]] == [
+                np.asarray(a).tobytes() for a in bordering]
+        outcomes["rejected" if position is None else "accepted"] += 1
+        return got
+
+    monkeypatch.setattr(_Pivots, "rejects",
+                        lambda *args: calls.append(args) or rejects(*args))
+    monkeypatch.setattr(_Pivots, "first_accepted", checked)
+    discover(QueryOracle(make_matrix(), oracle_seed), PARAMS)
+    expected = LONE_WINDOWS[request.node.callspec.id]
+    assert (outcomes["accepted"], outcomes["rejected"]) == expected
 
 
 def test_a_window_of_mixed_scales_decides_each_probe_alone():

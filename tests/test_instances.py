@@ -436,6 +436,28 @@ class TestSaveLoad:
         with pytest.raises(InstanceFormatError, match=r"entry \(2, 3\) is too large"):
             load(path)
 
+    @pytest.mark.parametrize("field", ["m", "noise"])
+    def test_quoted_numbers_are_rejected(self, seed7_instance, tmp_path, field):
+        # Every entry a quoted number: parsed, the file would load equal to
+        # the original.
+        path = tmp_path / "inst.json"
+        save(seed7_instance, path)
+        doc = json.loads(path.read_text())
+        doc[field] = [[repr(x) for x in row] for row in doc[field]]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InstanceFormatError, match="must be real numbers, got dtype <U"):
+            load(path)
+
+    def test_integer_no_float_holds_is_named(self, seed7_instance, tmp_path):
+        path = tmp_path / "inst.json"
+        save(seed7_instance, path)
+        doc = json.loads(path.read_text())
+        doc["m"][2][3] = 2**53 + 1
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InstanceFormatError,
+                           match=r"entry \(2, 3\) is an integer no float holds"):
+            load(path)
+
     @pytest.mark.parametrize("tail, loads", [(1e-8, False), (1e-10, True)])
     def test_rank_at_tolerance_edge(self, tmp_path, tail, loads):
         # Declared rank 2, with a third singular value `tail` times the first:

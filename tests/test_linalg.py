@@ -43,10 +43,47 @@ class TestAsMatrix:
                      r"entry \(0, 1\) is complex", id="complex-object"),
         pytest.param([[10**400]], r"entry \(0, 0\) is too large", id="int-10^400"),
         pytest.param([[1, -(10**400)]], r"entry \(0, 1\) is too large", id="int--10^400"),
+        pytest.param([[2**53 + 1]], r"entry \(0, 0\) is an integer no float holds",
+                     id="int64-2^53+1"),
+        pytest.param([[0, -(2**53 + 1)]], r"entry \(0, 1\) is an integer no float holds",
+                     id="int64--2^53-1"),
+        pytest.param(np.array([[1], [2**64 - 1]], dtype=np.uint64),
+                     r"entry \(1, 0\) is an integer no float holds", id="uint64-max"),
+        pytest.param([[2**64, 2**53 + 1]], r"entry \(0, 1\) is an integer no float holds",
+                     id="object-2^53+1"),
+        pytest.param([[10**300]], r"entry \(0, 0\) is an integer no float holds",
+                     id="int-10^300"),
     ])
     def test_rejects_what_no_float_holds(self, m, message):
         with pytest.raises(ValueError, match=message):
             linalg.as_matrix(m)
+
+    @pytest.mark.parametrize("m, message", [
+        pytest.param([["1.5", " 2e3 "]], "dtype <U5", id="str"),
+        pytest.param(np.array([[b"1", b"2"]]), r"dtype \|S1", id="bytes"),
+        pytest.param([[1.0, "2"]], "dtype <U32", id="number-and-str"),
+        pytest.param(np.array([[1.0, "2"]], dtype=object),
+                     r"entry \(0, 1\) is text, not a number: '2'", id="object-str"),
+        pytest.param(np.array([[b"3", 1.0]], dtype=object),
+                     r"entry \(0, 0\) is text, not a number: b'3'", id="object-bytes"),
+        pytest.param(np.array([[np.str_("4")]], dtype=object),
+                     r"entry \(0, 0\) is text", id="object-numpy-str"),
+    ])
+    def test_rejects_text(self, m, message):
+        # Numbers written as text are rejected, not parsed.
+        with pytest.raises(ValueError, match=message):
+            linalg.as_matrix(m)
+
+    @pytest.mark.parametrize("m", [
+        pytest.param([[2**53, -(2**53)]], id="int64-2^53"),
+        pytest.param([[2**62, -(2**63)]], id="int64-powers"),
+        pytest.param(np.array([[2**63, 3 * 2**60]], dtype=np.uint64), id="uint64-powers"),
+        pytest.param([[2**53 - 1, True]], id="int64-below-2^53"),
+    ])
+    def test_integers_a_float_holds_convert_exactly(self, m):
+        got = linalg.as_matrix(m)
+        assert got.dtype == float
+        assert [int(x) for x in got.ravel()] == [int(x) for x in np.ravel(m)]
 
     @pytest.mark.skipif(np.finfo(np.longdouble).max <= np.finfo(float).max,
                         reason="long double is no wider than float here")
@@ -55,8 +92,8 @@ class TestAsMatrix:
             linalg.as_matrix(np.full((2, 2), np.finfo(np.longdouble).max))
 
     def test_python_ints_beyond_int64_convert(self):
-        np.testing.assert_array_equal(linalg.as_matrix([[10**300, -3], [2**64, 0]]),
-                                      [[1e300, -3.0], [2.0**64, 0.0]])
+        np.testing.assert_array_equal(linalg.as_matrix([[2**1000, -3], [2**64, 0]]),
+                                      [[2.0**1000, -3.0], [2.0**64, 0.0]])
 
 
 class TestNumericalRank:

@@ -42,6 +42,15 @@ class TestConstruction:
         with pytest.raises(ValueError, match=r"entry \(1, 0\) is too large"):
             QueryOracle([[1, 2], [10**400, 3]])
 
+    def test_numbers_as_text_raise(self):
+        with pytest.raises(ValueError, match="dtype <U"):
+            QueryOracle([["1.5", "2"], ["3", " 4e0 "]])
+
+    def test_integer_no_float_holds_raises(self):
+        # 2**53 + 1 would be read back as 2**53.
+        with pytest.raises(ValueError, match=r"entry \(1, 1\) is an integer no float holds"):
+            QueryOracle([[1, 2], [3, 2**53 + 1]])
+
 
 class TestEntryQueries:
     def test_first_query_counts(self):

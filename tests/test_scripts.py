@@ -2,6 +2,8 @@ import csv
 import json
 import re
 import runpy
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -131,3 +133,31 @@ def test_bench_record_without_git(tmp_path, monkeypatch, env):
     _, doc = record_bench(tmp_path, monkeypatch)
     assert (doc["commit"], doc["dirty"]) == (None, None)
     assert doc["runs"][0]["result"]["correct"] is True
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_bench_record_leaves_its_own_files_out_of_dirty(tmp_path, monkeypatch):
+    # A clean checkout of what the script runs. Its BENCH_*.json outputs at
+    # the top do not make the next recording dirty; any other untracked
+    # file does.
+    tree = tmp_path / "tree"
+    root = SCRIPTS.parent
+    ignore = shutil.ignore_patterns("__pycache__")
+    for name in ("scripts", "perfbench", "src"):
+        shutil.copytree(root / name, tree / name, ignore=ignore)
+    shutil.copy(root / "BENCHMARK.json", tree)
+    git = ["git", "-C", str(tree), "-c", "user.name=t", "-c", "user.email=t@t",
+           "-c", "commit.gpgsign=false"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "tree"]):
+        subprocess.run(git + args, check=True, capture_output=True)
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    main = runpy.run_path(str(tree / "scripts" / "bench_record.py"),
+                          run_name="script_under_test")["main"]
+    dirty = []
+    for label, extra in (("a", None), ("b", None), ("c", "notes.txt")):
+        if extra:
+            (tree / extra).write_text("untracked\n")
+        assert main(["--label", label, "--workload", "wide", "--seeds", "1",
+                     "--seconds", "0.1"]) == 0
+        dirty.append(json.loads((tree / f"BENCH_{label}.json").read_text())["dirty"])
+    assert dirty == [False, False, True]
