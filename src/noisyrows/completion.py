@@ -12,7 +12,8 @@ every probe without an SVD: it multiplies the probes' pivot-row entries by
 the pivot block's inverse, which each acceptance borders in O(k^2) rather
 than recomputes. Only where it cannot reject does the invertibility test
 run, on the block assembled from those pivots; the bound rejects nothing
-that test would accept. The test is handed the bordered inverse, whose
+that test would accept. The test is handed the bordered inverse and its
+left residual, formed once per probe and reused by the acceptance, and its
 residual certificate accepts without an SVD wherever it can vouch that the
 SVD would. A pass budget of consecutive unproductive sweeps decides when
 the rank is complete.
@@ -222,16 +223,22 @@ class _Pivots:
     w = 2^(e-a) X_A 2^-e P[:, j], u = 2^-e Q[i] 2^(e-a) X_A and Schur
     complement s = 2^-e v - 2^-e Q[i] w, X = [[2^(e-a) X_A + w u / s,
     -w / s], [-u / s, 1 / s]] approximates (2^-e B)^-1 in O(k^2). The
-    invertibility test gets 2^-e B and X, so its residual certificate can
-    vouch for B without an SVD; where it cannot, its SVD decides, on the
-    exactly scaled block. The certificate measures whatever error bordering
-    accumulated, so the decisions are the SVD's either way. On acceptance X
-    becomes the held inverse if its left residual is as small as one
-    inversion leaves (`_accurate`), so drift never accumulates; else
-    one Newton step X - (XB - I) X, which squares that residual, and
-    failing that one `np.linalg.inv`. A zero s or an overflowing scale
+    invertibility test gets 2^-e B, X and the left residual fl(X 2^-e B) -
+    I, which `_bordered` forms once for each probe it completes X for, so
+    its residual certificate can vouch for B without an SVD; where it
+    cannot, its SVD decides, on the exactly scaled block. The certificate
+    measures whatever error bordering accumulated, so the decisions are the
+    SVD's either way. On acceptance X becomes the held inverse if that same
+    residual is as small as one inversion leaves (`_accurate`), so drift
+    never accumulates; else one Newton step X - (XB - I) X, which squares
+    that residual and alone forms a new one, and failing that one
+    `np.linalg.inv`. A zero s or an overflowing scale
     makes X non-finite, which neither the certificate nor the accuracy test
     accepts, and no warning escapes.
+
+    The only n2-wide arrays here are the pivot-row buffer P, and its copy
+    while an acceptance regrows it, and the running maxima of its columns;
+    a probe's bordering is (k+1) x (k+1).
     """
 
     def __init__(self, n1: int, n2: int, tol: RankTolerance):
@@ -252,11 +259,15 @@ class _Pivots:
         self._a_max, self._a_exp = 0.0, 0
 
     def _bordered(self, i: int, j: int, v: float, lone: bool = False) -> tuple | None:
-        """(max|B|, e, 2^-e B, X) for the probe (i, j) with value v: its
-        bordered block B, with max|B| = f 2^e and f in [0.5, 1), and the held
-        inverse bordered into an approximation X of (2^-e B)^-1. A `lone`
-        probe, which no `rejects` call has bounded, is bounded here before X
-        is completed: None when ||2^-e B z||^2 <= ||z||^2 (f level)^2."""
+        """(max|B|, e, 2^-e B, X, R, ||R||_F, ||2^-e B||_F, ||X||_F) for the
+        probe (i, j) with value v: its bordered block B, with max|B| = f 2^e
+        and f in [0.5, 1), the held inverse bordered into an approximation X
+        of (2^-e B)^-1, and the left residual R = fl(X 2^-e B) - I with the
+        norms `inverse_residual` returns, formed once here after X is
+        completed: the invertibility test's certificate and `accept` both
+        read it. A `lone` probe, which no `rejects` call has bounded, is
+        bounded here before X is completed: None when ||2^-e B z||^2 <=
+        ||z||^2 (f level)^2, with no residual formed."""
         k = len(self.rows)
         b_max = max(self._a_max, self._p_max[j], self._q_max[i], abs(v))
         f, e = math.frexp(b_max)
@@ -272,13 +283,14 @@ class _Pivots:
                 if math.isfinite(limit) and residual @ residual <= limit:
                     return None
             x += z[:, None] * (y / -(b_hat[k] @ z))  # 1 / s = -1 / (b_hat[k] z)
-        return b_max, e, b_hat, x
+            return (b_max, e, b_hat, x, *inverse_residual(b_hat, x))
 
     def accept(self, i: int, j: int, bordering: tuple, row: np.ndarray, col: np.ndarray) -> None:
         """Make the probe (i, j) a pivot, given its bordering (`_bordered`)
         and its full row N[i, :] and column N[:, j]: the bordered block
-        becomes A."""
-        b_max, e, b_hat, x = bordering
+        becomes A. The accuracy test reads the bordering's residual; only a
+        Newton step forms a new one, of the stepped inverse."""
+        b_max, e, b_hat, x, left, *norms = bordering
         k = len(self.rows)
         if k == len(self.p):
             size = min(2 * k, len(row), len(col))
@@ -292,7 +304,6 @@ class _Pivots:
         self.cols.append(j)
         self._on_pivot_row[i] = True
         with np.errstate(all="ignore"):
-            left, *norms = inverse_residual(b_hat, x)
             if not _accurate(*norms, k + 1):
                 x = x - left @ x
                 if not _accurate(*inverse_residual(b_hat, x)[1:], k + 1):
@@ -342,15 +353,17 @@ class _Pivots:
         one, so a window of only such probes accepts nothing. The residual
         bound rejects most open probes: two or more in one `rejects` call, a
         lone one from its own bordering, which spares that call's fixed cost.
-        The rest get the full test, handed their bordered inverse for its
-        certificate."""
+        The rest get the full test, handed their bordered inverse and its
+        residual for its certificate."""
         open_ = np.flatnonzero(~self._on_pivot_row[i])
         lone = open_.size == 1
         if open_.size > 1:
             open_ = open_[~self.rejects(i[open_], j[open_], v[open_])]
         for t in open_:
             bordering = self._bordered(i[t], j[t], v[t], lone)
-            if bordering is not None and is_invertible(bordering[2], self._tol, bordering[3]):
+            if bordering is not None and is_invertible(
+                bordering[2], self._tol, bordering[3], bordering[4:]
+            ):
                 return int(t), bordering
         return None, None
 
@@ -448,6 +461,14 @@ def recover(
     N[R, :] and columns N[:, C] discovery revealed; the oracle gives only
     the shape and the query count.
 
+    W is formed first and the one product after: the shorter association
+    N[:, C] pinv(A_clean) N[R_clean, :] loses accuracy. Each n2-wide array
+    lives only while it is needed. The coefficient block N[R_clean, C] is
+    read on its own, and the gathered clean rows N[R_clean, :] are handed
+    to the solve as a temporary that it frees once U^T N[R_clean, :] is
+    formed (`solve_least_squares`), so the solve holds at most two arrays
+    of that size and the product at most W and the result.
+
     With no pivots the solve and the product are empty and give `ok` with
     zeros. When every pivot row is flagged, the clean column space must
     contain a standard basis vector, which the method's precondition
@@ -464,9 +485,13 @@ def recover(
     clean_pivots = [t for t, i in enumerate(state.pivot_rows) if i not in flagged]
     if state.pivot_rows and not clean_pivots:
         return _result(oracle, state, noisy_rows, STATUS_PRECONDITION, np.zeros(oracle.shape))
-    rows = state.row_values[clean_pivots]
     try:
-        coeffs = solve_least_squares(rows[:, state.pivot_cols], rows, params.tol)
+        # The gathered clean rows go to the solve as a temporary it frees.
+        coeffs = solve_least_squares(
+            state.row_values[np.ix_(clean_pivots, state.pivot_cols)],
+            state.row_values[clean_pivots],
+            params.tol,
+        )
     except DegenerateSystemError:
         return _result(oracle, state, noisy_rows, STATUS_BUDGET)
     # Products with 0 and 1 are exact, so the pivot columns come out as read.

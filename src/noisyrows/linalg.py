@@ -132,7 +132,7 @@ def inverse_residual(m: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, float, f
     return r, math.sqrt(np.vdot(r, r)), math.sqrt(np.vdot(m, m)), math.sqrt(np.vdot(x, x))
 
 
-def is_invertible(m, tol: RankTolerance = DEFAULT_TOL, inverse=None) -> bool:
+def is_invertible(m, tol: RankTolerance = DEFAULT_TOL, inverse=None, residual=None) -> bool:
     """True iff the square matrix has full numerical rank.
 
     With `inverse`, an approximate inverse X of the n x n matrix B = m, a
@@ -153,17 +153,24 @@ def is_invertible(m, tol: RankTolerance = DEFAULT_TOL, inverse=None) -> bool:
     nothing, and no warning escapes. (A verified-inverse check: Rump,
     "Verification methods", Acta Numerica 2010.) Otherwise, or with no
     `inverse`, the SVD decides.
+
+    `residual`, when given with `inverse`, must be exactly the value
+    `inverse_residual(m, inverse)` returns; the certificate then reads it
+    instead of forming fl(XB) - I itself, so a caller that needs that
+    residual too forms it once.
     """
     a = as_matrix(m)
     n = a.shape[0]
     if n != a.shape[1]:
         raise ValueError(f"invertibility requires a square matrix, got {a.shape}")
     if inverse is not None:
-        with np.errstate(all="ignore"):
-            _, residual, a_norm, x_norm = inverse_residual(a, np.asarray(inverse, dtype=float))
+        if residual is None:
+            with np.errstate(all="ignore"):
+                residual = inverse_residual(a, np.asarray(inverse, dtype=float))
+        _, r_norm, a_norm, x_norm = residual
         slack = 1.0 + (n * n + 8) * _EPS
         norms = a_norm * x_norm * slack
-        rho = residual * slack + 2.0 * n * _EPS * norms
+        rho = r_norm * slack + 2.0 * n * _EPS * norms
         cut = tol.rel_threshold + 5 * n * n * _EPS * (1.0 + tol.rel_threshold)
         if rho < 1.0 and 1.0 - rho > cut * norms * slack:
             return True
@@ -182,6 +189,11 @@ def solve_least_squares(a, b, tol: RankTolerance = DEFAULT_TOL) -> np.ndarray:
     min(a.shape) raises DegenerateSystemError instead of returning an
     approximation, because downstream recovery must not silently proceed
     from a broken basis.
+
+    Of the arrays as wide as b, at most two are alive at once: U^T b is
+    formed, the references to b are dropped (so a b the caller passed as a
+    temporary is freed), and U^T b is divided by s in place before the
+    product with V, which returns x.
     """
     a = as_matrix(a)
     rhs = np.asarray(b, dtype=float)
@@ -194,7 +206,10 @@ def solve_least_squares(a, b, tol: RankTolerance = DEFAULT_TOL) -> np.ndarray:
         raise DegenerateSystemError(
             f"coefficient matrix of shape {a.shape} is rank deficient"
         )
-    return vt.T @ ((u.T @ rhs) / (s if rhs.ndim == 1 else s[:, None]))
+    x = u.T @ rhs
+    del b, rhs
+    x /= s if x.ndim == 1 else s[:, None]
+    return vt.T @ x
 
 
 def _unit_vectors_in_colspace(a: np.ndarray, rows: range, tol: RankTolerance) -> np.ndarray:

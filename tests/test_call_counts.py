@@ -6,7 +6,8 @@ read loop fails here whatever the machine's speed. The wrappers are
 installed by monkeypatching, as the benchmark's tracer does: the three phase
 functions as `run` calls them mark the phase, and every `np.linalg` SVD,
 least-squares, solve and inverse call, every `is_invertible` call as
-`completion` makes it, every call of discovery's filter `_Pivots.rejects`,
+`completion` makes it, every `inverse_residual` call in `completion` and
+`linalg`, every call of discovery's filter `_Pivots.rejects`,
 and every `QueryOracle` read or draw is counted
 against the phase it happens in, with the cells each read is passed
 (repeats included) and the rows each draw makes. Anything in `run`
@@ -17,6 +18,10 @@ Ceilings, with k pivots of an n1 x n2 matrix and S sweeps
   run        no SVD, solve, inverse, decision or oracle call at all
   discover   at most k invertibility tests, no SVD (the residual
              certificate vouches for every acceptance of these cases),
+             at most one left residual per test plus one per acceptance
+             (each probe that reaches the test forms one, which its
+             acceptance reuses; only a Newton step forms another), and
+             at most the residuals measured for the case (RESIDUALS),
              exactly one inverse (of the final pivot block, for
              identification), no solve, exactly k row and k column reads,
              one cell read per sweep, no entry reads, exactly
@@ -25,18 +30,21 @@ Ceilings, with k pivots of an n1 x n2 matrix and S sweeps
              n2 <= _WHOLE_TAIL
   identify   no inverse (it reads discovery's), SVD, solve, decision or
              oracle call at all
-  recover    at most 1 SVD, no inverse and no oracle call; no SVD either
-             when every pivot row is flagged (precondition-violated)
+  recover    at most 1 SVD, no inverse, residual or oracle call; no SVD
+             either when every pivot row is flagged (precondition-violated);
+             on the square and wide cases a tracemalloc peak of at most
+             (k + n1) n2 8 bytes + 16 KiB: W and the result
   generate   at most 3 SVDs per draw attempt (two ranks and the psi check),
              none of an input wider than r + g columns
 A later change may lower a ceiling; raising one is a change of behaviour.
 """
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from noisyrows import completion, instances
+from noisyrows import completion, instances, linalg
 from noisyrows.completion import _WHOLE_TAIL, CompletionParams
 from noisyrows.instances import (
     MAX_GENERATION_ATTEMPTS,
@@ -93,6 +101,11 @@ def counted_run(monkeypatch, oracle):
             mp.setattr(np.linalg, name, counter(name, getattr(np.linalg, name)))
         for name in DECISIONS:
             mp.setattr(completion, name, counter(name, getattr(completion, name)))
+        # Formed by discovery's bordering and Newton steps, and by the
+        # certificate when it is not handed one.
+        for module in (completion, linalg):
+            mp.setattr(module, "inverse_residual",
+                       counter("inverse_residual", module.inverse_residual))
         mp.setattr(completion._Pivots, "rejects",
                    counter("rejects", completion._Pivots.rejects))
         for name, cells in READS.items():
@@ -135,6 +148,12 @@ REJECTS = {"pinned-0": 11, "pinned-1": 11, "pinned-2": 20, "pinned-3": 13,
            "precondition": 8, "square": 20, "wide": 24, "trials-gaussian": 16,
            "trials-sparse": 16}
 
+# Left residuals formed in discovery per case, as measured: one per
+# invertibility test, and one more per Newton step of an acceptance.
+RESIDUALS = {"pinned-0": 3, "pinned-1": 6, "pinned-2": 43, "pinned-3": 5,
+             "precondition": 1, "square": 14, "wide": 38, "trials-gaussian": 10,
+             "trials-sparse": 9}
+
 # (observed-matrix factory, oracle seed) of each case.
 CASES = (
     [pytest.param(_instance_matrix(config), seed, id=f"pinned-{k}")
@@ -168,6 +187,8 @@ def test_each_decision_once(monkeypatch, request, make_matrix, oracle_seed):
     assert found["lstsq"] == 0
     assert found["cells"] == k * (n1 + n2) + found["probes"]
     assert found["rejects"] <= REJECTS[request.node.callspec.id]
+    assert found["inverse_residual"] <= found["is_invertible"] + k
+    assert found["inverse_residual"] <= RESIDUALS[request.node.callspec.id]
     # The first sweep probes every column, and no later one probes more.
     if n2 <= _WHOLE_TAIL:
         assert found["rejects"] <= sweeps + k
@@ -181,6 +202,28 @@ def test_each_decision_once(monkeypatch, request, make_matrix, oracle_seed):
     assert solved["inv"] == 0
     assert solved["cells"] == 0
     assert set(solved) <= {"svd"}
+
+
+@pytest.mark.parametrize(
+    "config, oracle_seed",
+    [pytest.param(config, seed, id=name) for name, config, seed in WORKLOAD_CASES
+     if name in ("square", "wide")],
+)
+def test_recovery_memory_is_bounded(config, oracle_seed):
+    # Each n2-wide temporary of recovery is freed once used, so at its peak
+    # it holds W (at most k x n2) and the n1 x n2 result, and little else.
+    oracle = QueryOracle(generate(GeneratorConfig(**config)).n_observed, rng_seed=oracle_seed)
+    state = completion.discover(oracle, PARAMS)
+    noisy = completion.identify_noisy_rows(state, PARAMS)
+    n1, n2 = oracle.shape
+    tracemalloc.start()
+    try:
+        result = completion.recover(oracle, state, noisy, PARAMS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.status == completion.STATUS_OK
+    assert peak <= (state.rank_estimate + n1) * n2 * 8 + 16 * 1024
 
 
 def test_precondition_is_decided_in_recover(monkeypatch):

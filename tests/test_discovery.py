@@ -257,7 +257,7 @@ def test_certificate_never_accepts_what_the_svd_rejects(
     # and at the block's own.
     block, tol = _near_singular_block(k, log_cond, log_scale, log_threshold, delta,
                                       near_threshold, seed)
-    b_hat, x = _pivots_of(block, tol)._bordered(k, k, block[k, k])[2:]
+    b_hat, x = _pivots_of(block, tol)._bordered(k, k, block[k, k])[2:4]
     svds = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "numerical_rank",
